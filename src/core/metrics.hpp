@@ -36,7 +36,8 @@ struct NodeMetrics {
 };
 
 struct RunMetrics {
-  // --- phase timeline (virtual seconds; zero-length on ThreadRuntime) ---
+  // --- phase timeline (virtual seconds on SimRuntime, wall-clock seconds
+  // since the runtime started on ThreadRuntime and SocketRuntime) ---
   SimTime t_start = 0.0;
   SimTime t_build_end = 0.0;      // build phase complete at the scheduler
   SimTime t_reshuffle_end = 0.0;  // == t_build_end unless hybrid expanded

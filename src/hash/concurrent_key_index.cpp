@@ -339,14 +339,19 @@ std::vector<Tuple> ConcurrentKeyIndex::extract_range(const PosRange& sub) {
     const std::uint64_t word = c.load(std::memory_order_relaxed);
     const std::uint32_t count = count_of(word);
     if (count == 0) continue;
-    // Chains link newest-first; reverse the collected segment so the
-    // extracted run preserves insertion order per position.
+    // Emit LocalHashTable's order: key order within the position, equal
+    // keys in insertion order.  Chains link newest-first, so reverse the
+    // collected segment before the stable sort.
     const std::size_t mark = extracted.size();
     for (std::uint32_t e = head_of(word); e != kNil;
          e = slab_[e].chain_next) {
       extracted.push_back(Tuple{slab_[e].id, slab_[e].key});
     }
     std::reverse(extracted.begin() + mark, extracted.end());
+    std::stable_sort(extracted.begin() + mark, extracted.end(),
+                     [](const Tuple& a, const Tuple& b) {
+                       return a.key < b.key;
+                     });
     tuple_count_.fetch_sub(count, std::memory_order_relaxed);
     footprint_bytes_.fetch_sub(
         static_cast<std::uint64_t>(count) * tuple_footprint(schema_),

@@ -1,8 +1,8 @@
 // Lock-free concurrent counterpart of LocalHashTable.
 //
-// Same logical structure as the scalar table -- a flat entry slab,
-// per-position chain heads, and an open-addressing key index over the join
-// attribute -- but every shared word the parallel build/probe fan-out
+// A flat entry slab, per-position chain heads, and an open-addressing key
+// index over the join attribute (the scalar table's design before it became
+// a sorted run), where every shared word the parallel build/probe fan-out
 // touches is an atomic:
 //
 //   * chain heads pack {count:32 | head:32} into one 64-bit word, so a
@@ -20,10 +20,12 @@
 // from every lane directly; kMerge scatters rows into per-thread scratch
 // keyed by position sub-range, then each lane exclusively merges one
 // sub-range with plain stores -- which reproduces the serial insert order
-// (and therefore extract_range emission order) bit for bit at any thread
-// count.  Either way the join-visible results -- matches, comparisons,
-// checksum, footprint, histograms -- are identical to LocalHashTable for
-// the same content (tests/test_concurrent_hash.cpp fuzzes this).
+// bit for bit at any thread count.  extract_range emits each position in
+// LocalHashTable's order (key order, equal keys in insertion order), so in
+// merge mode its output equals the scalar table's exactly.  Either way the
+// join-visible results -- matches, comparisons, checksum, footprint,
+// histograms -- are identical to LocalHashTable for the same content
+// (tests/test_concurrent_hash.cpp fuzzes this).
 //
 // Concurrency contract: insert_rows / probe_rows / scatter_rows /
 // merge_subrange may run from many threads at once; everything else

@@ -2,32 +2,40 @@
 //
 // Covers one contiguous position range.  The *position* (high key bits) is
 // the unit of partitioning, migration and reshuffling; within a position,
-// tuples are indexed by their exact join attribute so that probing costs
-// what a well-dimensioned 2004 hash table cost -- a handful of key
-// comparisons -- rather than a linear walk over everything sharing the
-// position.  (Under the paper's extreme-skew workloads a position can hold
-// tens of thousands of distinct keys; a real implementation re-hashes them
-// locally, and so must the model, or probe CPU would dwarf every effect the
-// paper measures.)
+// tuples are kept in join-attribute order so that probing costs what a
+// well-dimensioned 2004 hash table cost -- a handful of key comparisons --
+// rather than a linear walk over everything sharing the position.  (Under
+// the paper's extreme-skew workloads a position can hold tens of thousands
+// of distinct keys; a real implementation re-hashes them locally, and so
+// must the model, or probe CPU would dwarf every effect the paper measures.)
 //
-// Storage is a flat entry slab with per-position chain heads (one 8-byte
-// ChainRef per owned position) -- no per-chain allocations.  Exact-key
-// lookup goes through a table-wide open-addressing index over the join
-// attribute, built lazily at the first probe and maintained incrementally
-// by later inserts (the dynamic hybrid-hash spiller interleaves the two);
-// range surgery that removes entries (extract_range, clear) invalidates the
-// index and the next probe rebuilds it from the chains.  This replaces the
-// earlier per-chain lazy sort.  ProbeResult::comparisons still reports what
-// the modeled 2004 structure pays -- a binary search over the position's
-// chain plus one comparison per match -- which the caller charges to the
-// cost model; the index is the lookup mechanism, not the cost model.
+// Storage is one position-clustered sorted run: a flat row array in which
+// every owned position's rows sit contiguously, ordered by join attribute
+// (equal keys keep their insertion order), plus one 8-byte Run {start,
+// count} per owned position.  Inserts only append rows to an unsealed tail
+// of fixed-size blocks (no reallocation copies while a table grows) and
+// bump the position's count.  The first probe or extract_range after new
+// inserts *seals* the table: a stable counting sort on position moves the
+// tail rows into their position's run and each touched run is re-sorted by
+// key.  A probe then reads its position's run and scans the contiguous
+// stretch of equal keys (long skewed runs are searched from an
+// interpolated guess);
+// extract_range copies each run of the sub-range out; histogram() and
+// set_range() read the counts and never seal.  Rows removed by
+// extract_range leave holes that the next seal drops; once holes outnumber
+// live rows the table compacts at once.
+//
+// ProbeResult::comparisons reports what the modeled 2004 structure pays --
+// a binary search over the position's rows plus one comparison per match --
+// which the caller charges to the cost model; how the run is scanned is the
+// lookup mechanism, not the cost model.
 //
 // The batch interface (insert_batch / probe_batch) consumes columnar
 // TupleBatches: positions come from the batch's precomputed hash column and
-// the loops prefetch the chain-head and index cache lines a few rows ahead,
-// which is where the bulk path's throughput over tuple-at-a-time calls
-// comes from.  Results are bit-identical to the scalar calls
-// (tests/test_hash.cpp fuzzes the equivalence).
+// the loops prefetch the Run and row cache lines a few rows ahead, which is
+// where the bulk path's throughput over tuple-at-a-time calls comes from.
+// Results are bit-identical to the scalar calls (tests/test_hash.cpp fuzzes
+// the equivalence).
 //
 // The memory *footprint* is byte-accurate against the declared schema
 // (payload included plus per-entry overhead) even though payload bytes are
@@ -36,12 +44,14 @@
 //
 // Range surgery -- extract_range() for split migration, reshuffle and spill
 // eviction, set_range() after a reshuffle -- returns the removed tuples so
-// the caller can re-chunk and ship them, keeping accounting exact.
-// (Removed slab entries are reclaimed on clear(), not eagerly; the slab
-// high-water mark is bounded by the tuples this node ever inserted.)
+// the caller can re-chunk and ship them, keeping accounting exact.  The
+// removed tuples come out in position order and, within a position, in key
+// order (equal keys in insertion order).
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "hash/hash_family.hpp"
@@ -83,9 +93,9 @@ class LocalHashTable {
     std::uint64_t checksum_delta = 0;
   };
 
-  /// Probe with one tuple of the second relation.  (Lazily builds the key
-  /// index, hence non-const.)  When `sink` is non-null every match appends
-  /// one Tuple{build_row_id, probe_row_id} -- exactly one append per
+  /// Probe with one tuple of the second relation.  (Seals pending inserts,
+  /// hence non-const.)  When `sink` is non-null every match appends one
+  /// Tuple{build_row_id, probe_row_id} -- exactly one append per
   /// checksum_delta contribution, so the captured multiset always equals
   /// the counted result.
   ProbeResult probe(const Tuple& s, std::vector<Tuple>* sink = nullptr);
@@ -109,54 +119,61 @@ class LocalHashTable {
   void clear();
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
-  /// One stored tuple plus its two intrusive links: the per-position chain
-  /// (newest first) and the index's same-key list.  The no-op default
-  /// constructor keeps vector::resize from zero-filling slab segments the
-  /// bulk insert is about to overwrite anyway.
-  struct Entry {
+  /// One stored tuple.  The no-op default constructor keeps the tail blocks
+  /// and the seal's output array from being zero-filled before they are
+  /// overwritten.
+  struct Row {
     std::uint64_t id;
     std::uint64_t key;
-    std::uint32_t chain_next;
-    std::uint32_t key_next;
 
-    Entry() {}  // intentionally uninitialized
-    Entry(std::uint64_t id_, std::uint64_t key_, std::uint32_t chain_next_,
-          std::uint32_t key_next_)
-        : id(id_), key(key_), chain_next(chain_next_), key_next(key_next_) {}
+    Row() {}  // intentionally uninitialized
+    Row(std::uint64_t id_, std::uint64_t key_) : id(id_), key(key_) {}
   };
 
-  struct ChainRef {
-    std::uint32_t head = kNil;
+  /// A position's rows: [start, start + count) of the sealed section.
+  /// `count` also covers the position's unsealed tail rows, so it is
+  /// always the position's live row count.
+  struct Run {
+    std::uint32_t start = 0;
     std::uint32_t count = 0;
   };
 
-  ChainRef& chain(std::uint64_t pos) {
-    return chains_[static_cast<std::size_t>(pos - range_.lo)];
+  Run& run(std::uint64_t pos) {
+    return runs_[static_cast<std::size_t>(pos - range_.lo)];
   }
-  const ChainRef& chain(std::uint64_t pos) const {
-    return chains_[static_cast<std::size_t>(pos - range_.lo)];
+  const Run& run(std::uint64_t pos) const {
+    return runs_[static_cast<std::size_t>(pos - range_.lo)];
   }
 
-  void ensure_index();
-  void rebuild_index();
-  /// Link slab entry `e` into the index, growing the slot array as needed.
-  void index_insert(std::uint32_t e);
-  /// Head of the same-key list for `key`, or kNil.
-  std::uint32_t index_find(std::uint64_t key) const;
+  /// Rows per tail block (512 KiB).
+  static constexpr std::size_t kBlockRows = std::size_t{1} << 15;
+
+  /// Room for `n` more tail rows at tail_rows_ within the current block
+  /// (allocating a block when the current one is full); returns the slot
+  /// pointer and the number of rows that fit (<= n).
+  std::pair<Row*, std::size_t> tail_slots(std::size_t n);
+  /// Fold the unsealed tail into the sorted runs (no-op when there is none).
+  void seal() {
+    if (tail_rows_ != 0) rebuild();
+  }
+  /// Lay every live row out again in position-then-key order, dropping the
+  /// holes left by extract_range and emptying the tail.
+  void rebuild();
+  /// First of the `n` key-sorted rows at `first` whose key is >= `key`.
+  static const Row* seek(const Row* first, std::uint32_t n,
+                         std::uint64_t key);
+  void probe_run(const Run& r, std::uint64_t key, std::uint64_t id,
+                 std::vector<Tuple>* sink, BatchProbeResult& agg) const;
 
   Schema schema_;
   PosRange range_;
   std::uint64_t tuple_count_ = 0;
   std::uint64_t footprint_bytes_ = 0;
-  std::vector<Entry> slab_;       // unlinked entries stay until clear()
-  std::vector<ChainRef> chains_;  // one per owned position
-  // Open-addressing key index: slot -> head entry of a same-key list.
-  std::vector<std::uint32_t> index_slots_;  // power-of-two size
-  std::size_t index_mask_ = 0;
-  std::uint64_t index_keys_ = 0;  // distinct keys indexed (load factor)
-  bool index_built_ = false;
+  std::vector<Row> rows_;  // the sealed runs, in position order
+  std::vector<Run> runs_;  // one per owned position
+  std::vector<std::unique_ptr<Row[]>> tail_;  // unsealed rows, in order
+  std::size_t tail_rows_ = 0;
+  std::uint64_t holes_ = 0;  // extracted rows still inside rows_
 };
 
 }  // namespace ehja

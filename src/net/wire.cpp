@@ -13,26 +13,55 @@ namespace ehja::wire {
 
 namespace {
 
+/// Slicing-by-8 tables over the reflected IEEE polynomial: entries[0] is
+/// the classic byte-at-a-time table, entries[k][i] the CRC of byte i
+/// followed by k zero bytes, so one step folds eight input bytes.
 struct Crc32Table {
-  std::uint32_t entries[256];
+  std::uint32_t entries[8][256];
   Crc32Table() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = entries[k - 1][i];
+        entries[k][i] = (prev >> 8) ^ entries[0][prev & 0xFF];
+      }
     }
   }
 };
+
+/// Little-endian 32-bit load, independent of host byte order (compilers
+/// fold it into one load on little-endian hosts).
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+/// Longest LEB128 encoding of a 64-bit value.
+constexpr std::size_t kMaxVarintBytes = 10;
 
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   static const Crc32Table table;
+  const auto& t = table.entries;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table.entries[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(data) ^ c;
+    const std::uint32_t hi = load_le32(data + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size != 0; ++data, --size) {
+    c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -62,6 +91,22 @@ void Writer::varint(std::uint64_t v) {
     v >>= 7;
   }
   buf_.push_back(static_cast<std::uint8_t>(v));
+}
+
+void Writer::varints(const std::uint64_t* values, std::size_t n) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + n * kMaxVarintBytes);
+  std::uint8_t* const first = buf_.data() + at;
+  std::uint8_t* out = first;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t v = values[i];
+    while (v >= 0x80) {
+      *out++ = static_cast<std::uint8_t>(v) | 0x80;
+      v >>= 7;
+    }
+    *out++ = static_cast<std::uint8_t>(v);
+  }
+  buf_.resize(at + static_cast<std::size_t>(out - first));
 }
 
 void Writer::zigzag(std::int64_t v) {
@@ -145,6 +190,33 @@ std::uint64_t Reader::varint() {
   }
   ok_ = false;
   return 0;
+}
+
+bool Reader::varints(std::uint64_t* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!ok_) return false;
+    if (size_ - pos_ < kMaxVarintBytes) {
+      // Near the end of the stream: the byte-checked path.
+      out[i] = varint();
+      continue;
+    }
+    // A whole maximal varint is in bounds, so the bytes need no
+    // individual checks; the 10th-byte rule still rejects overlong input.
+    const std::uint8_t* p = data_ + pos_;
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      const std::uint8_t byte = *p++;
+      if (shift == 63 && (byte & 0xFE)) {
+        ok_ = false;
+        return false;
+      }
+      v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+      if (!(byte & 0x80)) break;
+    }
+    pos_ = static_cast<std::size_t>(p - data_);
+    out[i] = v;
+  }
+  return ok_;
 }
 
 std::int64_t Reader::zigzag() {
@@ -303,30 +375,23 @@ bool decode(Reader& r, PosRange& v) {
 // the codec streams each column of the batch sequentially; the derived
 // position column is recomputed on decode rather than shipped.
 void encode(Writer& w, const Chunk& v) {
-  w.u8(static_cast<std::uint8_t>(v.rel));
   const std::size_t n = v.batch.size();
+  w.reserve(1 + kMaxVarintBytes + 2 * n * kMaxVarintBytes);
+  w.u8(static_cast<std::uint8_t>(v.rel));
   w.varint(n);
-  for (std::size_t i = 0; i < n; ++i) w.varint(v.batch.id(i));
-  for (std::size_t i = 0; i < n; ++i) w.varint(v.batch.key(i));
+  w.varints(v.batch.ids().data(), n);
+  w.varints(v.batch.keys().data(), n);
 }
 
 bool decode(Reader& r, Chunk& v) {
   if (!read_enum(r, v.rel, 1)) return false;
   const std::uint64_t count = r.varint();
   if (!r.can_hold(count, 2)) return false;
-  std::vector<std::uint64_t> ids;
-  ids.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ids.push_back(r.varint());
-    if (!r.ok()) return false;
-  }
-  v.batch.clear();
-  v.batch.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t key = r.varint();
-    if (!r.ok()) return false;
-    v.batch.append(ids[static_cast<std::size_t>(i)], key);
-  }
+  const std::size_t n = static_cast<std::size_t>(count);
+  std::vector<std::uint64_t> ids(n);
+  std::vector<std::uint64_t> keys(n);
+  if (!r.varints(ids.data(), n) || !r.varints(keys.data(), n)) return false;
+  v.batch = TupleBatch::from_columns(std::move(ids), std::move(keys));
   return true;
 }
 

@@ -75,12 +75,16 @@ class Writer {
   void u64(std::uint64_t v);
   /// LEB128 unsigned varint (1..10 bytes).
   void varint(std::uint64_t v);
+  /// `n` varints back to back (the columnar chunk codec's hot loop).
+  void varints(const std::uint64_t* values, std::size_t n);
   /// Zigzag-folded signed varint (small magnitudes stay small).
   void zigzag(std::int64_t v);
   /// IEEE-754 double, bit-cast and stored little-endian.
   void f64(double v);
   void bytes(const std::uint8_t* data, std::size_t size);
 
+  /// Capacity for `extra` more bytes, so a known-size body grows once.
+  void reserve(std::size_t extra) { buf_.reserve(buf_.size() + extra); }
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
@@ -105,6 +109,8 @@ class Reader {
   std::uint32_t u32();
   std::uint64_t u64();
   std::uint64_t varint();
+  /// Read `n` varints into `out`; false (latched) on any corruption.
+  bool varints(std::uint64_t* out, std::size_t n);
   std::int64_t zigzag();
   double f64();
 

@@ -1,11 +1,26 @@
 #include "relation/tuple_batch.hpp"
 
+#include <utility>
+
 namespace ehja {
 
 TupleBatch TupleBatch::from_tuples(const std::vector<Tuple>& tuples) {
   TupleBatch batch;
   batch.reserve(tuples.size());
   for (const Tuple& t : tuples) batch.append(t.id, t.key);
+  return batch;
+}
+
+TupleBatch TupleBatch::from_columns(std::vector<std::uint64_t> ids,
+                                    std::vector<std::uint64_t> keys) {
+  EHJA_CHECK(ids.size() == keys.size());
+  TupleBatch batch;
+  batch.positions_.resize(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    batch.positions_[i] = static_cast<std::uint32_t>(position_of(keys[i]));
+  }
+  batch.ids_ = std::move(ids);
+  batch.keys_ = std::move(keys);
   return batch;
 }
 

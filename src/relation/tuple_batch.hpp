@@ -34,6 +34,9 @@ class TupleBatch {
   TupleBatch() = default;
 
   static TupleBatch from_tuples(const std::vector<Tuple>& tuples);
+  /// Adopt equal-length id and key columns, deriving the position column.
+  static TupleBatch from_columns(std::vector<std::uint64_t> ids,
+                                 std::vector<std::uint64_t> keys);
 
   std::size_t size() const { return ids_.size(); }
   bool empty() const { return ids_.empty(); }

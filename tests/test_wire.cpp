@@ -108,6 +108,67 @@ TEST(WireCrc32, KnownVector) {
             0xCBF43926u);
 }
 
+/// Byte-at-a-time reference CRC32 (reflected IEEE polynomial), kept here
+/// so the production table-driven version is checked against an
+/// independent implementation.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(WireCrc32, MatchesReferenceAtEveryLengthAndAlignment) {
+  std::mt19937_64 rng(0xC4C32);
+  std::vector<std::uint8_t> buf(4096 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    const std::size_t offset = len % 8;  // every start alignment
+    ASSERT_EQ(wire::crc32(buf.data() + offset, len),
+              reference_crc32(buf.data() + offset, len))
+        << "len " << len;
+  }
+}
+
+TEST(WirePrimitives, VarintColumnsRoundTripAcrossTheFastPathBoundary) {
+  // Values of every encoded length, read back by varints() from buffers
+  // cut at every length: the bounds-check-free path covers varints with
+  // ten bytes left, the checked path the stream's tail.
+  std::vector<std::uint64_t> values;
+  for (unsigned bits = 0; bits <= 64; bits += 7) {
+    values.push_back(bits == 64 ? ~0ull : (1ull << bits) - 1);
+    values.push_back(bits >= 64 ? 1ull << 63 : 1ull << bits);
+  }
+  Writer w;
+  w.varints(values.data(), values.size());
+  Writer one_by_one;
+  for (const std::uint64_t v : values) one_by_one.varint(v);
+  ASSERT_EQ(w.data(), one_by_one.data());
+  for (std::size_t len = 0; len <= w.size(); ++len) {
+    Reader r(w.data().data(), len);
+    std::vector<std::uint64_t> out(values.size());
+    const bool ok = r.varints(out.data(), out.size());
+    EXPECT_EQ(ok, len == w.size()) << "len " << len;
+    if (ok) {
+      EXPECT_EQ(out, values);
+    }
+  }
+}
+
+TEST(WirePrimitives, OverlongVarintIsErrorOnTheFastPath) {
+  // A 10th byte carrying more than the final bit, followed by enough
+  // bytes that the unchecked path decodes it, must still fail.
+  std::vector<std::uint8_t> buf(9, 0xFF);
+  buf.push_back(0x02);
+  buf.resize(32, 0);
+  Reader r(buf);
+  std::uint64_t out[2];
+  EXPECT_FALSE(r.varints(out, 2));
+  EXPECT_FALSE(r.ok());
+}
+
 // --- message catalogue: one Message per protocol tag ---
 
 PartitionMap sample_map() { return PartitionMap::initial({5, 7, 9}); }

@@ -302,7 +302,8 @@ int main(int argc, char** argv) {
   const RunResult result = run_ehja(config, runtime);
   const RunMetrics& m = result.metrics;
 
-  std::printf("\n-- timeline (virtual seconds) --\n");
+  std::printf("\n-- timeline (%s seconds) --\n",
+              runtime == RuntimeKind::kSim ? "virtual" : "wall-clock");
   std::printf("build %.3f | reshuffle %.3f | probe %.3f | finish %.3f | "
               "total %.3f\n",
               m.build_time(), m.reshuffle_time(), m.probe_time(),
