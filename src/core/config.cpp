@@ -75,8 +75,6 @@ std::optional<std::string> EhjaConfig::validate_or_error() const {
     return "reshuffle bins must cover the join pool (bins >= pool)";
   }
   if (spill_fanout < 1) return "spill fanout must be >= 1";
-  if (intra_threads < 1) return "intra threads must be >= 1";
-  if (intra_threads > 64) return "intra threads capped at 64 per process";
   for (const KillSpec& kill : faults.kills) {
     switch (kill.role) {
       case KillRole::kJoin:
@@ -159,9 +157,6 @@ std::string EhjaConfig::to_string() const {
      << " tuple=" << build_rel.schema.tuple_bytes << "B"
      << " mem=" << node_hash_memory_bytes / kMiB << "MiB"
      << " dist=" << build_rel.dist.to_string();
-  if (intra_threads > 1) {
-    os << " intra=" << intra_threads << "/" << intra_mode_name(intra_mode);
-  }
   if (capture_output) os << " capture=on stage=" << pipeline_stage;
   if (recovery_enabled()) {
     os << " ft=on kills=" << faults.kills.size()

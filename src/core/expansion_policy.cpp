@@ -181,6 +181,7 @@ void ExpansionPolicy::launch_split(ActorId requester, ActorId fresh,
   init.range = moved;
   init.source_count = config_->data_sources;
   init.op_id = op_id;
+  init.epoch = env_.epoch();
   env_.send_to(fresh, make_message(Tag::kJoinInit, init, kControlWireBytes));
 
   SplitRequestPayload req;
@@ -209,6 +210,7 @@ void ExpansionPolicy::launch_replica(ActorId requester, ActorId fresh,
   init.range = range;
   init.source_count = config_->data_sources;
   init.op_id = op_id;
+  init.epoch = env_.epoch();
   env_.send_to(fresh, make_message(Tag::kJoinInit, init, kControlWireBytes));
 
   HandoffStartPayload handoff;

@@ -85,6 +85,9 @@ class ExpansionEnv {
   virtual const std::vector<ActorId>& source_actors() const = 0;
   /// Fail-stop liveness of a cluster node (Runtime::node_alive).
   virtual bool node_alive(NodeId node) const = 0;
+  /// Current recovery incarnation epoch (0 until the first recovery); a
+  /// join spawned now adopts it through JoinInitPayload::epoch.
+  virtual std::uint64_t epoch() const = 0;
 };
 
 class ExpansionPolicy {

@@ -131,6 +131,7 @@ void JoinProcessActor::handle_init(const JoinInitPayload& init) {
   EHJA_CHECK_MSG(!table_ && !spiller_, "double init");
   role_ = init.role;
   range_ = init.range;
+  epoch_ = std::max(epoch_, init.epoch);
   if (config_->algorithm == Algorithm::kOutOfCore) {
     // The baseline never expands: on overflow it runs the basic GRACE
     // out-of-core join of ss2 (everything through the disk).
@@ -139,8 +140,7 @@ void JoinProcessActor::handle_init(const JoinInitPayload& init) {
                      static_cast<std::uint64_t>(id()) + 1,
                      SpillPolicy::kEvictAll);
   } else {
-    table_.emplace(config_->build_rel.schema, range_, config_->intra_threads,
-                   config_->intra_mode);
+    table_.emplace(config_->build_rel.schema, range_);
   }
   EHJA_DEBUG(name(), "init role=", static_cast<int>(init.role), " range=[",
              range_.lo, ",", range_.hi, ")");

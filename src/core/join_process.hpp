@@ -41,7 +41,7 @@
 
 #include "core/config.hpp"
 #include "core/messages.hpp"
-#include "core/node_table.hpp"
+#include "hash/local_hash_table.hpp"
 #include "join/grace_join.hpp"
 #include "runtime/actor.hpp"
 #include "storage/sim_disk.hpp"
@@ -110,9 +110,8 @@ class JoinProcessActor final : public Actor {
 
   JoinRole role_ = JoinRole::kInitial;
   PosRange range_;
-  /// Partition table; scalar at intra_threads == 1, intra-node parallel
-  /// otherwise (core/node_table.hpp).
-  std::optional<NodeTable> table_;
+  /// Partition table (absent for the out-of-core baseline, which spills).
+  std::optional<LocalHashTable> table_;
   std::optional<HybridHashSpiller> spiller_;
 
   bool frozen_ = false;

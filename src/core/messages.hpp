@@ -85,6 +85,11 @@ struct JoinInitPayload {
   PosRange range;
   std::uint32_t source_count = 0;
   std::uint64_t op_id = 0;  // expansion op this spawn belongs to (0 = none)
+  /// Recovery incarnation epoch at spawn time, adopted as the join's own.
+  /// A join spawned after a recovery holds only post-fence tuples, so the
+  /// chunks it ships (splits, reshuffle moves) must carry the current epoch
+  /// or a fenced peer would drop them as stale.
+  std::uint64_t epoch = 0;
 };
 
 struct StartBuildPayload {

@@ -159,7 +159,6 @@ EhjaConfig PipelinePlan::stage_config(std::size_t k) const {
   config.data_sources = data_sources;
   config.node_hash_memory_bytes = node_hash_memory_bytes;
   config.chunk_tuples = chunk_tuples;
-  config.intra_threads = intra_threads;
   if (k == 0) {
     config.build_rel = first_build;
   } else {
@@ -311,7 +310,7 @@ MultiJoinResult serial_multi_join(const PipelinePlan& plan) {
         materialize(probe_spec, plan.stage_seed(k), plan.data_sources);
 
     std::vector<Tuple> pairs;
-    const JoinResult jr = serial_hash_join_capture(build, probe, pairs);
+    const JoinResult jr = serial_hash_join(build, probe, &pairs);
     result.stage_results.push_back(jr);
 
     if (last) {

@@ -76,8 +76,6 @@ struct PipelinePlan {
   std::uint64_t seed = 1;
   /// Transport chunk capacity for every stage.
   std::uint32_t chunk_tuples = 10'000;
-  /// Intra-node worker threads per join process, every stage.
-  std::uint32_t intra_threads = 1;
   /// Failure-detection knobs, applied to every stage (recovery arms itself
   /// per stage when that stage's FaultPlan is non-empty, as usual).
   FaultToleranceConfig ft;
@@ -153,9 +151,9 @@ PipelineResult run_pipeline(const PipelinePlan& plan,
                             RuntimeKind kind = RuntimeKind::kSim);
 
 /// The multi-way oracle: evaluate the whole chain serially, materializing
-/// every intermediate tuple-by-tuple with serial_hash_join_capture and the
-/// same link transform the distributed driver uses.  Every run_pipeline()
-/// of the same plan must match it byte-identically.
+/// every intermediate tuple-by-tuple with serial_hash_join's capture sink
+/// and the same link transform the distributed driver uses.  Every
+/// run_pipeline() of the same plan must match it byte-identically.
 struct MultiJoinResult {
   /// Per-stage (matches, checksum); short-circuited stages report zeros.
   std::vector<JoinResult> stage_results;

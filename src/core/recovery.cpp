@@ -172,6 +172,7 @@ void RecoveryManager::run_surgery() {
       init.role = JoinRole::kInitial;
       init.range = entry.range;
       init.source_count = config_->data_sources;
+      init.epoch = epoch_;
       env_.send_to(chosen,
                    make_message(Tag::kJoinInit, init, kControlWireBytes));
       EHJA_INFO("recovery", "recruited join ", chosen, " on node ", *node,

@@ -152,6 +152,9 @@ class SchedulerActor final : public Actor,
     return sources_;
   }
   bool node_alive(NodeId node) const override { return rt().node_alive(node); }
+  std::uint64_t epoch() const override {
+    return recovery_ != nullptr ? recovery_->epoch() : 0;
+  }
 
   // --- RecoveryHost (recovery's scheduler-side services) ---
   std::optional<NodeId> recruit_node() override {

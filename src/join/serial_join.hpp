@@ -22,13 +22,10 @@ struct JoinResult {
 };
 
 /// Build a hash table over `build`, probe it with `probe` (Algorithm 1).
-JoinResult serial_hash_join(const Relation& build, const Relation& probe);
-
-/// Same join, but also emit each output pair as Tuple{build_row_id,
-/// probe_row_id} into `out` (one append per counted match).  The multi-way
-/// oracle uses this to materialize stage outputs tuple-by-tuple.
-JoinResult serial_hash_join_capture(const Relation& build,
-                                    const Relation& probe,
-                                    std::vector<Tuple>& out);
+/// When `out` is non-null, also append each output pair as
+/// Tuple{build_row_id, probe_row_id} (one append per counted match); the
+/// multi-way oracle uses this to materialize stage outputs tuple-by-tuple.
+JoinResult serial_hash_join(const Relation& build, const Relation& probe,
+                            std::vector<Tuple>* out = nullptr);
 
 }  // namespace ehja

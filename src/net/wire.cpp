@@ -505,12 +505,14 @@ void encode(Writer& w, const JoinInitPayload& v) {
   encode(w, v.range);
   w.varint(v.source_count);
   w.varint(v.op_id);
+  w.varint(v.epoch);
 }
 
 bool decode(Reader& r, JoinInitPayload& v) {
   if (!read_enum(r, v.role, 2) || !decode(r, v.range)) return false;
   if (!read_u32(r, v.source_count)) return false;
   v.op_id = r.varint();
+  v.epoch = r.varint();
   return r.ok();
 }
 
@@ -1494,8 +1496,6 @@ void encode_config(const EhjaConfig& config, Writer& w) {
   w.f64(config.ft.phi_threshold);
   w.varint(config.ft.phi_window);
   w.u8(config.ft.standby_scheduler ? 1 : 0);
-  w.varint(config.intra_threads);
-  w.u8(static_cast<std::uint8_t>(config.intra_mode));
   w.u8(config.capture_output ? 1 : 0);
   w.varint(config.pipeline_stage);
 }
@@ -1545,8 +1545,6 @@ bool decode_config(Reader& r, EhjaConfig& config) {
   config.ft.phi_threshold = r.f64();
   if (!read_u32(r, config.ft.phi_window)) return false;
   if (!read_bool(r, config.ft.standby_scheduler)) return false;
-  if (!read_u32(r, config.intra_threads)) return false;
-  if (!read_enum(r, config.intra_mode, 1)) return false;
   if (!read_bool(r, config.capture_output)) return false;
   return read_u32(r, config.pipeline_stage);
 }

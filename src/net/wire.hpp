@@ -53,14 +53,16 @@ namespace ehja::wire {
 /// frame kinds (submit/accept/reject/result/status/cancel), per-query
 /// config shipping (kQueryConfig) and actor retirement (kRetire) on the
 /// fleet links.
-/// v5: intra-node parallelism knobs (intra_threads, intra_mode) in the
+/// v5: intra-node parallelism knobs (thread count, build discipline) in the
 /// config handshake.
 /// v6: materialized pipelines -- stage-tagged configs (pipeline_stage,
 /// capture_output), relation specs optionally carrying concrete rows
 /// (columnar, checksum-stamped) so a stage's captured output ships to
 /// workers inside the config frame, and the kResultChunk message streaming
 /// captured output rows back to the scheduler.
-inline constexpr std::uint8_t kWireVersion = 6;
+/// v7: drops v5's intra-node knobs from the config handshake; kJoinInit
+/// carries the recovery epoch a freshly spawned join adopts.
+inline constexpr std::uint8_t kWireVersion = 7;
 
 /// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) over `size` bytes.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);

@@ -61,6 +61,7 @@ struct FakeEnv final : public ExpansionEnv {
     return source_list;
   }
   bool node_alive(NodeId /*node*/) const override { return true; }
+  std::uint64_t epoch() const override { return 0; }
 
   std::vector<Sent> with_tag(Tag tag) const {
     std::vector<Sent> out;

@@ -380,7 +380,7 @@ TEST(BatchEquivalenceFuzz, InsertProbeExtractInterleavings) {
 // include inserts after probes (a reseal over sealed rows) and extracts
 // after probes.
 
-enum class ModelShape { kUniform, kSmallDomain, kGaussian };
+enum class ModelShape { kUniform, kSmallDomain, kGaussian, kZipf };
 
 struct ModelRow {
   std::uint64_t id;
@@ -500,6 +500,14 @@ std::uint64_t model_key(SplitMix64& rng, const PosRange& range,
       const std::uint64_t low =
           pos % 2 == 0 ? rng.next_u64() & kLowMask : rng.next_u64() % 64;
       return (pos << kLowBits) | low;
+    }
+    case ModelShape::kZipf: {
+      // Rank r with probability ~2^-(r+1): half the rows land on one hot
+      // position while the tail still spreads across the range.
+      std::uint64_t rank = 0;
+      while (rank < 30 && (rng.next_u64() & 1) == 0) ++rank;
+      const std::uint64_t pos = range.lo + (rank * 97) % range.width();
+      return (pos << kLowBits) | (rng.next_u64() & kLowMask);
     }
   }
   return 0;
@@ -650,6 +658,12 @@ TEST(LocalHashTableModelTest, SmallDomainMatchesModel) {
 TEST(LocalHashTableModelTest, GaussianSkewMatchesModel) {
   for (std::uint64_t seed = 21; seed <= 26; ++seed) {
     run_model_differential(ModelShape::kGaussian, seed);
+  }
+}
+
+TEST(LocalHashTableModelTest, ZipfSkewMatchesModel) {
+  for (std::uint64_t seed = 31; seed <= 36; ++seed) {
+    run_model_differential(ModelShape::kZipf, seed);
   }
 }
 

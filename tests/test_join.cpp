@@ -59,6 +59,40 @@ TEST(SerialJoinTest, EmptyRelations) {
   EXPECT_EQ(serial_hash_join(r, s).matches, 0u);
 }
 
+TEST(SerialJoinTest, CaptureFormAgreesWithCountingForm) {
+  Relation no_match_r(RelTag::kR, Schema{100});
+  Relation no_match_s(RelTag::kS, Schema{100});
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    no_match_r.add({i, 2 * i});
+    no_match_s.add({100 + i, 2 * i + 1});
+  }
+  const struct {
+    const char* name;
+    Relation build, probe;
+  } cases[] = {
+      {"uniform", make_relation(RelTag::kR, 6000, DistributionSpec::Uniform()),
+       make_relation(RelTag::kS, 6000, DistributionSpec::Uniform(), 8)},
+      {"smalldomain",
+       make_relation(RelTag::kR, 6000, DistributionSpec::SmallDomain(512)),
+       make_relation(RelTag::kS, 6000, DistributionSpec::SmallDomain(512), 8)},
+      {"empty-match", no_match_r, no_match_s},
+  };
+  for (const auto& c : cases) {
+    std::vector<Tuple> out;
+    const JoinResult captured = serial_hash_join(c.build, c.probe, &out);
+    EXPECT_EQ(captured, serial_hash_join(c.build, c.probe)) << c.name;
+    EXPECT_EQ(out.size(), captured.matches) << c.name;
+    std::uint64_t checksum = 0;
+    for (const Tuple& pair : out) {
+      checksum += match_signature(pair.id, pair.key);
+    }
+    EXPECT_EQ(checksum, captured.checksum) << c.name;
+  }
+  // The inputs span the shapes they are named for.
+  EXPECT_GT(serial_hash_join(cases[1].build, cases[1].probe).matches, 0u);
+  EXPECT_EQ(serial_hash_join(cases[2].build, cases[2].probe).matches, 0u);
+}
+
 // ------------------------------------------------------------- sort-merge
 
 TEST(SortMergeJoinTest, AgreesWithHashJoinAcrossDistributions) {

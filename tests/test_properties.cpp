@@ -3,7 +3,10 @@
 // nodes x sources x chunk size).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <tuple>
+#include <type_traits>
 
 #include "core/driver.hpp"
 #include "core/pipeline.hpp"
@@ -246,10 +249,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
 // and each stage's output checksum equals the next stage's build-input
 // checksum (nothing is lost or invented at a hand-off).
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct spells its padding out and zeroes it: implicit padding would
+// print whatever the stack held and rename the case on every run.
 struct PipelineParam {
+  PipelineParam(Algorithm a, std::size_t d) : algorithm(a), stages(d) {}
   Algorithm algorithm;
+  std::array<std::uint8_t, 7> padding{};
   std::size_t stages;
 };
+static_assert(sizeof(PipelineParam) == 16 &&
+              std::has_unique_object_representations_v<PipelineParam>);
 
 PipelinePlan property_plan(const PipelineParam& p) {
   PipelinePlan plan;

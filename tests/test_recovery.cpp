@@ -150,6 +150,21 @@ TEST(RecoveryTest, HybridKilledDuringReshuffle) {
   expect_recovered(run, config, 1);
 }
 
+// A death detected early enough that the build keeps expanding after the
+// recovery: replicas spawned then must adopt the recovery epoch, or their
+// reshuffle moves into the recruit's range (which carries the recovery
+// fence) are dropped as stale and the build loses tuples.
+TEST(RecoveryTest, ReplicaSpawnedAfterRecoveryReshufflesIntoFencedRange) {
+  auto config = chaos_config(Algorithm::kHybrid);
+  config.ft.heartbeat_interval_sec = 0.0025;
+  config.ft.heartbeat_timeout_sec = 0.01;
+  config.faults.kills.push_back(kill_after_chunks(0, 1));
+  const RunResult run = run_ehja(config);
+  expect_recovered(run, config, 1);
+  EXPECT_EQ(run.metrics.build_tuples_total, config.build_rel.tuple_count);
+  EXPECT_GT(run.metrics.t_reshuffle_end, run.metrics.t_build_end);
+}
+
 // ---------------------------------------------------------------------------
 // Two deaths, the second while the first recovery is still in flight (the
 // fold path: hulls accumulate, surgery recomputes, the epoch bumps again).

@@ -216,7 +216,7 @@ std::vector<Message> message_catalogue() {
   };
 
   add(make_message(Tag::kJoinInit,
-                   JoinInitPayload{JoinRole::kReplica, PosRange{10, 500}, 3, 7},
+                   JoinInitPayload{JoinRole::kReplica, PosRange{10, 500}, 3, 7, 2},
                    64),
       0);
   add(make_message(Tag::kStartBuild, StartBuildPayload{sample_map(), 4}, 128),
@@ -423,7 +423,7 @@ TEST(WireMessages, SpotCheckDecodedFields) {
   EXPECT_TRUE(p.forwarded);
   EXPECT_EQ(p.epoch, 9u);
 
-  JoinInitPayload init{JoinRole::kReplica, PosRange{10, 500}, 3, 7};
+  JoinInitPayload init{JoinRole::kReplica, PosRange{10, 500}, 3, 7, 2};
   Message mi = make_message(Tag::kJoinInit, init, 64);
   mi.from = 0;
   const auto bytes_i = encode_one(mi);
@@ -435,6 +435,7 @@ TEST(WireMessages, SpotCheckDecodedFields) {
   EXPECT_EQ(pi.range, (PosRange{10, 500}));
   EXPECT_EQ(pi.source_count, 3u);
   EXPECT_EQ(pi.op_id, 7u);
+  EXPECT_EQ(pi.epoch, 2u);
 }
 
 // --- batch codec (v2 columnar chunk bodies) ---
