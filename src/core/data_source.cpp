@@ -276,32 +276,42 @@ void DataSourceActor::route_batch(const TupleBatch& batch, RelTag rel,
     stage_entry_[i] = static_cast<std::uint32_t>(idx);
     ++entry_counts_[idx];
   }
-  // Size the destination buffers from the histogram before scattering.
+  // Resolve every used entry's destination buffers once per slice (map
+  // nodes are never erased, so the pointers stay valid through the
+  // scatter) and size them from the histogram.
   const auto& entries = map_.entries();
+  entry_dests_.assign(entries.size() + 1, 0);
+  dests_.clear();
   for (std::size_t idx = 0; idx < entries.size(); ++idx) {
+    entry_dests_[idx] = static_cast<std::uint32_t>(dests_.size());
     const std::uint32_t count = entry_counts_[idx];
     if (count == 0) continue;
-    const auto reserve_for = [&](ActorId owner) {
+    const auto resolve = [&](ActorId owner) {
       Chunk& buffer = buffers_[owner];
-      buffer.batch.reserve(std::min<std::size_t>(
-          config_->chunk_tuples, buffer.size() + count));
+      if (buffer.empty()) buffer.rel = rel;
+      EHJA_CHECK_MSG(buffer.rel == rel, "mixed-relation buffer");
+      buffer.batch.reserve(std::min<std::size_t>(config_->chunk_tuples,
+                                                 buffer.size() + count));
+      dests_.push_back(Dest{owner, &buffer});
     };
     if (!probe_fanout) {
-      reserve_for(entries[idx].active_owner());
+      resolve(entries[idx].active_owner());
     } else {
-      for (ActorId owner : entries[idx].owners) reserve_for(owner);
+      // Probe: replicated ranges receive every probe tuple on all replicas.
+      for (ActorId owner : entries[idx].owners) resolve(owner);
     }
   }
+  entry_dests_[entries.size()] = static_cast<std::uint32_t>(dests_.size());
   // Scatter in generation order; a buffer flushes the moment it fills, so
   // chunk boundaries and send order match the tuple-at-a-time semantics.
   for (std::size_t i = 0; i < n; ++i) {
-    const PartitionMap::Entry& entry = entries[stage_entry_[i]];
-    if (!probe_fanout) {
-      buffer_row(entry.active_owner(), batch, i, rel);
-    } else {
-      // Probe: replicated ranges receive every probe tuple on all replicas.
-      for (ActorId owner : entry.owners) {
-        buffer_row(owner, batch, i, rel);
+    const std::uint32_t idx = stage_entry_[i];
+    for (std::uint32_t d = entry_dests_[idx]; d < entry_dests_[idx + 1]; ++d) {
+      Chunk& buffer = *dests_[d].buffer;
+      buffer.batch.append_row(batch, i);
+      if (buffer.size() >= config_->chunk_tuples) {
+        flush(dests_[d].to, buffer);
+        buffer.batch.reserve(config_->chunk_tuples);
       }
     }
   }
@@ -328,26 +338,12 @@ void DataSourceActor::buffer_tuple(ActorId to, const Tuple& t, RelTag rel) {
   EHJA_CHECK_MSG(buffer.rel == rel, "mixed-relation buffer");
   buffer.batch.push_back(t);
   if (buffer.size() >= config_->chunk_tuples) {
-    flush(to);
+    flush(to, buffer);
   }
 }
 
-void DataSourceActor::buffer_row(ActorId to, const TupleBatch& batch,
-                                 std::size_t i, RelTag rel) {
-  Chunk& buffer = buffers_[to];
-  if (buffer.empty()) {
-    buffer.rel = rel;
-  }
-  EHJA_CHECK_MSG(buffer.rel == rel, "mixed-relation buffer");
-  buffer.batch.append_row(batch, i);
-  if (buffer.size() >= config_->chunk_tuples) {
-    flush(to);
-  }
-}
-
-void DataSourceActor::flush(ActorId to) {
-  auto it = buffers_.find(to);
-  if (it == buffers_.end() || it->second.empty()) return;
+void DataSourceActor::flush(ActorId to, Chunk& buffer) {
+  if (buffer.empty()) return;
   // Chunk-triggered source kill: die as the K-th data chunk is about to go
   // out.  On the socket runtime kill_node() raises SIGKILL in this very
   // process; on sim/thread runtimes it marks the node dead, so the send
@@ -359,7 +355,6 @@ void DataSourceActor::flush(ActorId to) {
     EHJA_INFO(name(), "injected kill before chunk ", kill->after_chunks);
     rt().kill_node(node());
   }
-  Chunk& buffer = it->second;
   const std::size_t n = buffer.size();
   charge(static_cast<double>(n) * config_->cost.tuple_pack_sec);
   // Replayed tuples are re-deliveries, not new production: keeping them out
@@ -384,15 +379,13 @@ void DataSourceActor::flush(ActorId to) {
   payload.epoch = epoch_;
   const std::size_t wire =
       chunk_wire_bytes(payload.chunk, spec_of(payload.chunk.rel).schema);
-  buffers_.erase(it);
+  buffer.batch = TupleBatch{};
   send(to, make_message(Tag::kDataChunk, std::move(payload), wire));
 }
 
 void DataSourceActor::flush_all() {
   // std::map iteration order makes the flush sequence deterministic.
-  while (!buffers_.empty()) {
-    flush(buffers_.begin()->first);
-  }
+  for (auto& [to, buffer] : buffers_) flush(to, buffer);
 }
 
 }  // namespace ehja

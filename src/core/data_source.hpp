@@ -74,15 +74,15 @@ class DataSourceActor final : public Actor {
   void replay_slice();
   /// Route a staged generation batch: one histogram pass over the position
   /// column (destination entry per row + per-entry counts, used to size the
-  /// buffers), then an in-order scatter so chunk boundaries match the
-  /// tuple-at-a-time semantics exactly.
+  /// buffers), one lookup of each used entry's destination buffers, then an
+  /// in-order scatter so chunk boundaries match the tuple-at-a-time
+  /// semantics exactly.
   void route_batch(const TupleBatch& batch, RelTag rel, bool probe_fanout);
   void route_tuple(const Tuple& t, RelTag rel, bool probe_fanout);
   void buffer_tuple(ActorId to, const Tuple& t, RelTag rel);
-  /// Append row `i` of `batch` to `to`'s buffer (no re-hashing).
-  void buffer_row(ActorId to, const TupleBatch& batch, std::size_t i,
-                  RelTag rel);
-  void flush(ActorId to);
+  /// Send `to`'s buffer as one data chunk (no-op when empty); the buffer's
+  /// map node stays, empty.
+  void flush(ActorId to, Chunk& buffer);
   void flush_all();
   /// Queue a kGenSlice self-message unless one is already outstanding.
   void defer_slice();
@@ -97,6 +97,8 @@ class DataSourceActor final : public Actor {
   PartitionMap map_;
   std::uint64_t map_version_ = 0;
   std::optional<TupleStream> stream_;
+  /// One buffer per destination ever routed to.  Nodes are never erased
+  /// (a flush leaves the buffer empty), so route_batch can hold pointers.
   std::map<ActorId, Chunk> buffers_;
   /// Reused staging area for one generation slice (columnar; positions are
   /// hashed once here and reused by every later hop).
@@ -104,6 +106,14 @@ class DataSourceActor final : public Actor {
   /// Scratch of route_batch's histogram pass (reused across slices).
   std::vector<std::uint32_t> stage_entry_;
   std::vector<std::uint32_t> entry_counts_;
+  /// route_batch's resolved destinations: entry idx's buffers are
+  /// dests_[entry_dests_[idx] .. entry_dests_[idx + 1]).
+  struct Dest {
+    ActorId to;
+    Chunk* buffer;
+  };
+  std::vector<Dest> dests_;
+  std::vector<std::uint32_t> entry_dests_;
 
   std::uint64_t build_chunks_ = 0;
   std::uint64_t probe_chunks_ = 0;

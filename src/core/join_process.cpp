@@ -378,6 +378,10 @@ void JoinProcessActor::handle_histogram_request(
   reply.histogram = std::move(hist);
   const std::size_t wire = reply.histogram.wire_bytes();
   send(scheduler_, make_message(Tag::kHistogramReply, std::move(reply), wire));
+  // The reply is out; sort the table while the scheduler sums the set's
+  // histograms and cuts the plan, rather than in the first extract_range
+  // of handle_reshuffle.
+  table_->seal();
 }
 
 void JoinProcessActor::handle_reshuffle(const ReshuffleMovePayload& move) {

@@ -336,12 +336,20 @@ void LocalHashTable::set_range(const PosRange& next) {
 }
 
 BinnedHistogram LocalHashTable::histogram(std::size_t bins) const {
-  BinnedHistogram hist(range_.lo, range_.hi, bins);
-  for (std::uint64_t pos = range_.lo; pos < range_.hi; ++pos) {
-    const Run& r = run(pos);
-    if (r.count != 0) hist.add(pos, r.count);
+  // One strided pass over the runs, bin by bin; the geometry is
+  // BinnedHistogram's (equal-width bins, the last one takes the remainder).
+  const std::size_t n =
+      BinnedHistogram::effective_bins(range_.lo, range_.hi, bins);
+  const std::size_t width = runs_.size() / n;
+  std::vector<std::uint64_t> weights(n);
+  const Run* r = runs_.data();
+  for (std::size_t b = 0; b < n; ++b) {
+    const Run* end = b + 1 == n ? runs_.data() + runs_.size() : r + width;
+    std::uint64_t sum = 0;
+    for (; r != end; ++r) sum += r->count;
+    weights[b] = sum;
   }
-  return hist;
+  return BinnedHistogram(range_.lo, range_.hi, std::move(weights));
 }
 
 void LocalHashTable::clear() {

@@ -17,9 +17,13 @@
 // bump the position's count.  The first probe or extract_range after new
 // inserts *seals* the table: a stable counting sort on position moves the
 // tail rows into their position's run and each touched run is re-sorted by
-// key.  A probe then reads its position's run and scans the contiguous
-// stretch of equal keys (long skewed runs are searched from an
-// interpolated guess);
+// key.  seal() is also public: a hybrid replica-set member seals as soon as
+// its reshuffle histogram reply has been sent (JoinProcessActor::
+// handle_histogram_request), so the whole-table sort overlaps the
+// scheduler's plan round instead of delaying the first extract_range.
+// Sealing early or late yields the same rows in the same order.  A probe
+// then reads its position's run and scans the contiguous stretch of equal
+// keys (long skewed runs are searched from an interpolated guess);
 // extract_range copies each run of the sub-range out; histogram() and
 // set_range() read the counts and never seal.  Rows removed by
 // extract_range leave holes that the next seal drops; once holes outnumber
@@ -115,6 +119,13 @@ class LocalHashTable {
   /// Per-position entry counts binned for the reshuffle global sum.
   BinnedHistogram histogram(std::size_t bins) const;
 
+  /// Fold the unsealed tail into the sorted runs (no-op when there is none).
+  /// probe and extract_range seal on demand; a caller that knows a probe or
+  /// extraction is coming can seal earlier, off its critical path.
+  void seal() {
+    if (tail_rows_ != 0) rebuild();
+  }
+
   /// Drop everything (phase-3 out-of-core joins reuse the node's budget).
   void clear();
 
@@ -152,10 +163,6 @@ class LocalHashTable {
   /// (allocating a block when the current one is full); returns the slot
   /// pointer and the number of rows that fit (<= n).
   std::pair<Row*, std::size_t> tail_slots(std::size_t n);
-  /// Fold the unsealed tail into the sorted runs (no-op when there is none).
-  void seal() {
-    if (tail_rows_ != 0) rebuild();
-  }
   /// Lay every live row out again in position-then-key order, dropping the
   /// holes left by extract_range and emptying the tail.
   void rebuild();

@@ -137,30 +137,47 @@ void queue_frame(Conn& c, wire::FrameKind kind,
   wire::append_frame(c.out, kind, body);
 }
 
-bool next_frame(Conn& c, wire::Frame& f) {
+namespace {
+
+/// Parse one frame at c.in's read offset.  On kFrame the offset moves past
+/// it; the parsed prefix is dropped when nothing unparsed remains, and
+/// compacted once it passes half the buffer, so a deep backlog costs one
+/// memmove per halving instead of one per frame.
+wire::FrameStatus parse_next(Conn& c, wire::Frame& f, std::string* error) {
   std::size_t consumed = 0;
+  const wire::FrameStatus st = wire::try_parse_frame(
+      c.in.data() + c.in_off, c.in.size() - c.in_off, consumed, f, error);
+  if (st != wire::FrameStatus::kFrame) return st;
+  c.in_off += consumed;
+  if (c.in_off == c.in.size()) {
+    c.in.clear();
+    c.in_off = 0;
+  } else if (c.in_off > c.in.size() / 2) {
+    c.in.erase(c.in.begin(),
+               c.in.begin() + static_cast<std::ptrdiff_t>(c.in_off));
+    c.in_off = 0;
+  }
+  return st;
+}
+
+}  // namespace
+
+bool next_frame(Conn& c, wire::Frame& f) {
   std::string err;
-  const wire::FrameStatus st =
-      wire::try_parse_frame(c.in.data(), c.in.size(), consumed, f, &err);
+  const wire::FrameStatus st = parse_next(c, f, &err);
   if (st == wire::FrameStatus::kNeedMore) return false;
   EHJA_CHECK_MSG(st == wire::FrameStatus::kFrame,
                  ("corrupt frame: " + err).c_str());
-  c.in.erase(c.in.begin(),
-             c.in.begin() + static_cast<std::ptrdiff_t>(consumed));
   return true;
 }
 
 FrameResult try_next_frame(Conn& c, wire::Frame& f, std::string* error) {
-  std::size_t consumed = 0;
-  const wire::FrameStatus st =
-      wire::try_parse_frame(c.in.data(), c.in.size(), consumed, f, error);
+  const wire::FrameStatus st = parse_next(c, f, error);
   if (st == wire::FrameStatus::kNeedMore) return FrameResult::kNone;
   if (st == wire::FrameStatus::kError) {
     c.broken = true;  // the stream is unrecoverable past a corrupt header
     return FrameResult::kError;
   }
-  c.in.erase(c.in.begin(),
-             c.in.begin() + static_cast<std::ptrdiff_t>(consumed));
   return FrameResult::kFrame;
 }
 

@@ -3,9 +3,10 @@
 // Extracted from runtime/socket_runtime.cpp so the serving layer
 // (src/serve/) can reuse the exact same plumbing for its client-facing
 // links: one Conn per peer, reads accumulating in `in` until
-// wire::try_parse_frame can cut whole frames, writes queuing in `out` and
-// draining whenever the socket is writable -- a slow peer never stalls the
-// event loop.
+// wire::try_parse_frame can cut whole frames (a read offset marks the parsed
+// prefix, so cutting a frame never moves the bytes behind it), writes
+// queuing in `out` and draining whenever the socket is writable -- a slow
+// peer never stalls the event loop.
 //
 // Two frame-extraction flavours with different trust models:
 //
@@ -38,6 +39,9 @@ struct Conn {
   int fd = -1;
   NodeId peer = -1;
   std::vector<std::uint8_t> in;
+  /// Bytes of `in` already cut into frames.  Kept at most half of `in`:
+  /// the prefix is compacted away once it grows past that.
+  std::size_t in_off = 0;
   std::vector<std::uint8_t> out;
   std::size_t out_off = 0;
   std::uint64_t next_send_seq = 0;
@@ -78,8 +82,8 @@ void flush_out(Conn& c);
 void queue_frame(Conn& c, wire::FrameKind kind,
                  const std::vector<std::uint8_t>& body);
 
-/// Cut one complete frame off the front of c.in.  A corrupt stream aborts
-/// (trusted intra-cluster links only; see file comment).
+/// Cut one complete frame off c.in at its read offset.  A corrupt stream
+/// aborts (trusted intra-cluster links only; see file comment).
 bool next_frame(Conn& c, wire::Frame& f);
 
 enum class FrameResult {

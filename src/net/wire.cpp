@@ -435,7 +435,7 @@ void encode(Writer& w, const BinnedHistogram& v) {
   w.varint(v.lo());
   w.varint(v.hi());
   w.varint(v.bin_count());
-  for (std::size_t i = 0; i < v.bin_count(); ++i) w.varint(v.bin_weight(i));
+  w.varints(v.weights().data(), v.bin_count());
 }
 
 bool decode(Reader& r, BinnedHistogram& v) {
@@ -459,12 +459,9 @@ bool decode(Reader& r, BinnedHistogram& v) {
     r.fail();
     return false;
   }
-  v = BinnedHistogram(lo, hi, static_cast<std::size_t>(bins));
-  for (std::uint64_t i = 0; i < bins; ++i) {
-    const std::uint64_t weight = r.varint();
-    if (!r.ok()) return false;
-    if (weight > 0) v.add(v.bin_lo(static_cast<std::size_t>(i)), weight);
-  }
+  std::vector<std::uint64_t> weights(static_cast<std::size_t>(bins));
+  if (!r.varints(weights.data(), weights.size())) return false;
+  v = BinnedHistogram(lo, hi, std::move(weights));
   return true;
 }
 

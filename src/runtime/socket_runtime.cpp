@@ -93,13 +93,18 @@ std::vector<std::uint8_t> node_dead_body(NodeId node) {
   return w.take();
 }
 
-void queue_msg_frame(Conn& c, ActorId to, const Message& msg) {
+/// Queue an actor-message frame and write it out at once, without blocking:
+/// a reply or a data chunk leaves when its handler sends it, not after the
+/// rest of the handler batch.  Bytes the socket cannot take yet stay in
+/// c.out and drain from the event loop's poll.
+void send_msg_frame(Conn& c, ActorId to, const Message& msg) {
   if (!c.usable()) return;
   wire::Writer w;
   w.zigzag(to);
   w.varint(c.next_send_seq++);
   wire::encode_message(msg, w);
   wire::append_frame(c.out, wire::FrameKind::kActorMsg, w.data());
+  flush_out(c);
 }
 
 struct DecodedMsg {
@@ -349,7 +354,7 @@ void SocketRuntime::send(Actor& from, ActorId to, Message msg) {
     return;
   }
   if (!node_alive(dst) || !conns_[dst]) return;  // fail-stop: drop silently
-  queue_msg_frame(*conns_[dst], to, msg);
+  send_msg_frame(*conns_[dst], to, msg);
 }
 
 void SocketRuntime::defer(Actor& from, Message msg) {
@@ -705,7 +710,7 @@ class SocketWorkerRuntime final : public Runtime {
     if (!node_alive(dst)) return;  // fail-stop: drop silently
     Conn* c = conn_for(dst);
     if (c == nullptr || !c->usable()) return;
-    queue_msg_frame(*c, to, msg);
+    send_msg_frame(*c, to, msg);
   }
 
   Conn* conn_for(NodeId dst) {

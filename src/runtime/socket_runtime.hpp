@@ -33,9 +33,16 @@
 // Delivery contract.  One TCP connection per node pair plus a per-connection
 // sequence number on every actor-message frame gives per-pair FIFO -- the
 // same ordering NetworkModel guarantees and the drain protocol relies on --
-// and the receiver EHJA_CHECKs the sequence to prove it.  Worker death
-// (SIGKILL from the FaultPlan, or any real crash) is observed by the
-// launcher's reap and folded into the same fail-stop state as
+// and the receiver EHJA_CHECKs the sequence to prove it.  An actor-message
+// frame is written to its socket when it is queued (non-blocking; a partial
+// write finishes from the event loop's poll), so replies and data chunks
+// never wait behind the rest of a handler batch: the batch size (64 local
+// deliveries on the coordinator, 32 on a worker) only bounds local work
+// between two polls.  Frames a worker queued before a chunk-triggered
+// self-SIGKILL therefore reach their peers, which fail-stop allows.
+//
+// Worker death (SIGKILL from the FaultPlan, or any real crash) is observed
+// by the launcher's reap and folded into the same fail-stop state as
 // SimRuntime::kill_node: the node is marked dead, peers get NODE_DEAD and
 // drop traffic to/from it, and the scheduler's heartbeat detector + recovery
 // protocol take it from there, unchanged.

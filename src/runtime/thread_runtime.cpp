@@ -229,8 +229,14 @@ void ThreadRuntime::run() {
       if (!cell->thread.joinable()) start_thread(*cell);
     }
   }
-  std::unique_lock lock(stop_mutex_);
-  stop_cv_.wait(lock, [this] { return stop_.load(std::memory_order_acquire); });
+  {
+    std::unique_lock lock(stop_mutex_);
+    stop_cv_.wait(lock,
+                  [this] { return stop_.load(std::memory_order_acquire); });
+  }
+  // Join with stop_mutex_ released: an actor thread that calls
+  // request_stop() again takes that mutex to notify, so joining it under
+  // the lock deadlocks.
   join_all();
 }
 

@@ -1,6 +1,7 @@
 #include "util/histogram.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -9,14 +10,25 @@ namespace ehja {
 BinnedHistogram::BinnedHistogram(std::uint64_t lo, std::uint64_t hi,
                                  std::size_t bins)
     : lo_(lo), hi_(hi) {
+  const std::size_t n = effective_bins(lo, hi, bins);
+  width_ = (hi - lo) / n;
+  counts_.assign(n, 0);
+}
+
+BinnedHistogram::BinnedHistogram(std::uint64_t lo, std::uint64_t hi,
+                                 std::vector<std::uint64_t> weights)
+    : lo_(lo), hi_(hi), counts_(std::move(weights)) {
+  EHJA_CHECK(hi > lo);
+  EHJA_CHECK(!counts_.empty() && counts_.size() <= hi - lo);
+  width_ = (hi - lo) / counts_.size();
+  for (const std::uint64_t w : counts_) total_ += w;
+}
+
+std::size_t BinnedHistogram::effective_bins(std::uint64_t lo, std::uint64_t hi,
+                                            std::size_t bins) {
   EHJA_CHECK(hi > lo);
   EHJA_CHECK(bins > 0);
-  const std::uint64_t span = hi - lo;
-  const std::size_t effective_bins =
-      static_cast<std::size_t>(std::min<std::uint64_t>(bins, span));
-  width_ = span / effective_bins;
-  EHJA_CHECK(width_ >= 1);
-  counts_.assign(effective_bins, 0);
+  return static_cast<std::size_t>(std::min<std::uint64_t>(bins, hi - lo));
 }
 
 void BinnedHistogram::add(std::uint64_t position, std::uint64_t weight) {

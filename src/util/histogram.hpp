@@ -21,6 +21,17 @@ class BinnedHistogram {
   /// remainder when (hi - lo) is not divisible by `bins`.
   BinnedHistogram(std::uint64_t lo, std::uint64_t hi, std::size_t bins);
 
+  /// Covers [lo, hi) with one bin per entry of `weights`, adopted as the bin
+  /// weights (requires 0 < weights.size() <= hi - lo, so the geometry is
+  /// exactly that of the (lo, hi, weights.size()) constructor).
+  BinnedHistogram(std::uint64_t lo, std::uint64_t hi,
+                  std::vector<std::uint64_t> weights);
+
+  /// The number of bins the (lo, hi, bins) constructor creates: `bins`
+  /// clamped to the range width.
+  static std::size_t effective_bins(std::uint64_t lo, std::uint64_t hi,
+                                    std::size_t bins);
+
   void add(std::uint64_t position, std::uint64_t weight = 1);
 
   /// Element-wise sum; both histograms must have identical geometry.  This is

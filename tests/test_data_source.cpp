@@ -3,11 +3,15 @@
 // completion reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "actor_harness.hpp"
 #include "core/data_source.hpp"
 #include "core/messages.hpp"
+#include "workload/generator.hpp"
 
 namespace ehja {
 namespace {
@@ -221,6 +225,101 @@ TEST(DataSourceTest, ChargesGenerationCpu) {
   fx.drain_generation();
   // At least tuple_generate_sec per tuple must have been charged.
   EXPECT_GE(fx.rt->charged(), 4000 * fx.config->cost.tuple_generate_sec);
+}
+
+/// One kDataChunk send: destination and rows, in send order.
+struct ChunkSend {
+  ActorId to;
+  RelTag rel;
+  std::vector<Tuple> rows;
+};
+
+/// The chunk sequence a source must produce, built tuple at a time: each
+/// TupleStream tuple is routed through PartitionMap::entry_for (the active
+/// owner on the build, every owner on the probe), a buffer is sent the
+/// moment it holds `chunk` rows, and the relation's end sends what is left
+/// in ActorId order.  `update` replaces the map after `update_after` tuples.
+std::vector<ChunkSend> reference_chunks(const EhjaConfig& config, bool probe,
+                                        const PartitionMap& map,
+                                        const PartitionMap& update,
+                                        std::uint64_t update_after) {
+  const RelationSpec& spec = probe ? config.probe_rel : config.build_rel;
+  TupleStream stream(spec, config.seed, 0, config.data_sources);
+  std::map<ActorId, std::vector<Tuple>> buffers;
+  std::vector<ChunkSend> sends;
+  Tuple t;
+  for (std::uint64_t produced = 0; stream.next(t); ++produced) {
+    const auto& entry = (produced < update_after ? map : update)
+                            .entry_for(position_of(t.key));
+    std::vector<ActorId> dests{entry.active_owner()};
+    if (probe) dests = entry.owners;
+    for (const ActorId to : dests) {
+      buffers[to].push_back(t);
+      if (buffers[to].size() >= config.chunk_tuples) {
+        sends.push_back(ChunkSend{to, spec.tag, std::move(buffers[to])});
+        buffers[to].clear();
+      }
+    }
+  }
+  for (auto& [to, rows] : buffers) {
+    if (!rows.empty()) sends.push_back(ChunkSend{to, spec.tag, rows});
+  }
+  return sends;
+}
+
+TEST(DataSourceTest, ChunkSequenceMatchesTupleAtATimeRouting) {
+  for (const bool probe : {false, true}) {
+    SCOPED_TRACE(probe ? "probe" : "build");
+    // Chunks of 700 against slices of 1000: buffers fill and flush inside
+    // slices and carry partial chunks across slice boundaries.
+    Fixture fx(5000, 700);
+    fx.config->generation_slice_tuples = 1000;
+    PartitionMap map = PartitionMap::initial({10, 11, 12});
+    map.add_replica(1, 99);  // entry 1 is replicated: {99, 11}
+    // The mid-stream update splits entry 2 and replicates entry 0.
+    PartitionMap update = map;
+    const PosRange third = update.entries()[2].range;
+    update.split_entry(2, third.lo + third.width() / 2, 13);
+    update.add_replica(0, 98);
+
+    if (probe) {
+      StartProbePayload start;
+      start.map = map;
+      fx.rt->deliver(fx.source, make_message(Tag::kStartProbe, start, 100));
+    } else {
+      fx.start_build(map);
+    }
+    // Exactly two generation slices under the first map, then the update.
+    for (int slice = 0; slice < 2; ++slice) {
+      auto& outbox = fx.rt->outbox();
+      auto it = std::find_if(outbox.begin(), outbox.end(), [](const auto& s) {
+        return s.msg.tag == static_cast<int>(Tag::kGenSlice);
+      });
+      ASSERT_NE(it, outbox.end());
+      Message msg = std::move(it->msg);
+      outbox.erase(it);
+      fx.rt->deliver(fx.source, std::move(msg));
+    }
+    MapUpdatePayload payload;
+    payload.version = 1;
+    payload.map = update;
+    fx.rt->deliver(fx.source, make_message(Tag::kMapUpdate, payload, 100));
+    fx.drain_generation();
+
+    std::vector<ChunkSend> got;
+    for (const auto& sent : fx.rt->sent_with_tag(Tag::kDataChunk)) {
+      const Chunk& chunk = sent.msg.as<ChunkPayload>().chunk;
+      got.push_back(ChunkSend{sent.to, chunk.rel, chunk.batch.to_tuples()});
+    }
+    const std::vector<ChunkSend> want =
+        reference_chunks(*fx.config, probe, map, update, 2000);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].to, want[i].to) << "chunk " << i;
+      EXPECT_EQ(got[i].rel, want[i].rel) << "chunk " << i;
+      EXPECT_EQ(got[i].rows, want[i].rows) << "chunk " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -632,7 +632,20 @@ void run_model_differential(ModelShape shape, std::uint64_t seed) {
     ASSERT_EQ(table.tuple_count(), model.size());
     EXPECT_EQ(table.footprint_bytes(),
               model.size() * (schema.tuple_bytes + kHashEntryOverheadBytes));
-    EXPECT_EQ(table.histogram(16).weights(), model.histogram(16).weights());
+    // Bin counts: one, a count leaving a remainder bin, the reshuffle's
+    // usual shape, one bin per position, and more bins than positions.
+    const std::size_t width = static_cast<std::size_t>(table.range().width());
+    for (const std::size_t bins : {std::size_t{1}, std::size_t{7},
+                                   std::size_t{16}, width, width + 3}) {
+      const BinnedHistogram got = table.histogram(bins);
+      const BinnedHistogram want = model.histogram(bins);
+      ASSERT_TRUE(got.same_geometry(want)) << "bins=" << bins;
+      EXPECT_EQ(got.weights(), want.weights()) << "bins=" << bins;
+      EXPECT_EQ(got.total(), want.total()) << "bins=" << bins;
+    }
+    // An early seal (a replica does one after its histogram reply) must not
+    // change any later probe or extraction; it draws no randomness.
+    if (step % 5 == 0) table.seal();
   }
   // The seal transitions the test exists for were really exercised.
   EXPECT_GT(inserts_after_probe, 0);

@@ -12,12 +12,15 @@
 //      allocates unbounded memory from a corrupt length field.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/messages.hpp"
+#include "net/framed_conn.hpp"
 #include "net/wire.hpp"
 #include "util/units.hpp"
 
@@ -518,6 +521,98 @@ TEST(WireBatchCodec, TruncationAndCorruptionAreTotal) {
   }
 }
 
+// --- histogram codec ---
+
+/// The histogram encoding spelled out one bin at a time: lo, hi, bin
+/// count, then every bin weight, all varints.
+std::vector<std::uint8_t> reference_histogram_bytes(const BinnedHistogram& h) {
+  Writer w;
+  w.varint(h.lo());
+  w.varint(h.hi());
+  w.varint(h.bin_count());
+  for (std::size_t i = 0; i < h.bin_count(); ++i) w.varint(h.bin_weight(i));
+  return w.take();
+}
+
+TEST(WireHistogramCodec, DenseHistogramMatchesPerBinReference) {
+  // The reshuffle's geometry (524,288 bins) over a range that leaves a
+  // remainder bin, every bin set, weights of every varint length up to
+  // 2^40.
+  constexpr std::size_t kBins = std::size_t{1} << 19;
+  const std::uint64_t lo = 1000;
+  const std::uint64_t hi = lo + 3 * kBins + 5;
+  BinnedHistogram h(lo, hi, kBins);
+  ASSERT_EQ(h.bin_count(), kBins);
+  std::mt19937_64 rng(0x4157);
+  for (std::size_t i = 0; i < kBins; ++i) {
+    std::uint64_t weight = rng() >> (24 + i % 41);  // below 2^(40 - i % 41)
+    if (i == 0) weight = 0;
+    if (i + 1 == kBins) weight = std::uint64_t{1} << 40;
+    if (weight > 0) h.add(h.bin_lo(i), weight);
+  }
+  Writer w;
+  wire::encode(w, h);
+  const std::vector<std::uint8_t> bytes = w.take();
+  EXPECT_EQ(bytes, reference_histogram_bytes(h));
+
+  Reader r(bytes);
+  BinnedHistogram out;
+  ASSERT_TRUE(wire::decode(r, out));
+  EXPECT_EQ(r.remaining(), 0u);
+  ASSERT_TRUE(out.same_geometry(h));
+  EXPECT_EQ(out.weights(), h.weights());
+  EXPECT_EQ(out.total(), h.total());
+  EXPECT_EQ(out.bin_hi(kBins - 1), hi);
+  EXPECT_EQ(out.bin_of(hi - 1), kBins - 1);
+}
+
+TEST(WireHistogramCodec, DecodeRejectsBadWeightsAndGeometry) {
+  const auto decodes = [](const std::vector<std::uint8_t>& bytes) {
+    Reader r(bytes);
+    BinnedHistogram out;
+    return wire::decode(r, out) && r.remaining() == 0;
+  };
+  BinnedHistogram h(0, 4000, 300);
+  for (std::size_t i = 0; i < h.bin_count(); ++i) h.add(h.bin_lo(i), i * i);
+  const std::vector<std::uint8_t> good = reference_histogram_bytes(h);
+  ASSERT_TRUE(decodes(good));
+
+  // A weight list cut anywhere, including where the fast path no longer
+  // has a whole varint in bounds.
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    Reader r(good.data(), len);
+    BinnedHistogram out;
+    EXPECT_FALSE(wire::decode(r, out)) << "len=" << len;
+  }
+
+  // An overlong varint among the weights: mid-list and as the last weight.
+  const auto with_overlong_weight = [](std::size_t at, std::size_t bins) {
+    Writer w;
+    w.varint(0);
+    w.varint(4000);
+    w.varint(bins);
+    for (std::size_t i = 0; i < bins; ++i) {
+      if (i == at) {
+        for (int b = 0; b < 9; ++b) w.u8(0xFF);
+        w.u8(0x02);  // a tenth byte may only carry bit 63
+      } else {
+        w.varint(i);
+      }
+    }
+    return w.take();
+  };
+  EXPECT_FALSE(decodes(with_overlong_weight(3, 300)));
+  EXPECT_FALSE(decodes(with_overlong_weight(299, 300)));
+
+  // More bins than positions: no constructor produces it.
+  Writer w;
+  w.varint(10);
+  w.varint(14);
+  w.varint(5);
+  for (int i = 0; i < 5; ++i) w.varint(1);
+  EXPECT_FALSE(decodes(w.take()));
+}
+
 TEST(WireMessages, PartitionMapInvariantsEnforcedOnDecode) {
   // A map whose entries do not cover the position space must be a decode
   // error, not an abort inside PartitionMap::from_entries.
@@ -688,6 +783,75 @@ TEST(WireFrames, BackToBackFramesParseInOrder) {
             wire::FrameStatus::kFrame);
   EXPECT_EQ(f.kind, wire::FrameKind::kAnnounce);
   EXPECT_EQ(first + consumed, stream.size());
+}
+
+TEST(FramedConn, PiecewiseFeedParsesInOrderWithinBoundedBuffer) {
+  // 100 frames of mixed sizes, fed into one Conn in random-sized pieces.
+  std::mt19937_64 rng(0xC0FFEE);
+  std::vector<std::vector<std::uint8_t>> bodies;
+  std::vector<std::uint8_t> stream;
+  std::size_t max_frame = 0;
+  for (int i = 0; i < 100; ++i) {
+    std::vector<std::uint8_t> body(rng() % 3 == 0 ? rng() % 20000
+                                                  : rng() % 300);
+    for (auto& b : body) b = static_cast<std::uint8_t>(rng());
+    const std::size_t before = stream.size();
+    wire::append_frame(stream, wire::FrameKind::kActorMsg, body);
+    max_frame = std::max(max_frame, stream.size() - before);
+    bodies.push_back(std::move(body));
+  }
+  for (const bool untrusted : {false, true}) {
+    netio::Conn c;
+    const auto bounded = [&] {
+      return c.in.size() <= 2 * (c.in.size() - c.in_off) + max_frame;
+    };
+    std::size_t fed = 0;
+    std::size_t got = 0;
+    wire::Frame f;
+    while (fed < stream.size()) {
+      const std::size_t n = std::min<std::size_t>(
+          stream.size() - fed, 1 + rng() % (2 * max_frame));
+      c.in.insert(c.in.end(), stream.begin() + static_cast<std::ptrdiff_t>(fed),
+                  stream.begin() + static_cast<std::ptrdiff_t>(fed + n));
+      fed += n;
+      ASSERT_TRUE(bounded()) << "after feeding " << fed;
+      for (;;) {
+        const bool cut = untrusted ? netio::try_next_frame(c, f) ==
+                                         netio::FrameResult::kFrame
+                                   : netio::next_frame(c, f);
+        if (!cut) break;
+        ASSERT_LT(got, bodies.size());
+        EXPECT_EQ(f.body, bodies[got]) << "frame " << got;
+        ++got;
+        ASSERT_TRUE(bounded()) << "after frame " << got;
+      }
+    }
+    EXPECT_EQ(got, bodies.size());
+    EXPECT_TRUE(c.in.empty());
+    EXPECT_EQ(c.in_off, 0u);
+    EXPECT_FALSE(c.broken);
+  }
+}
+
+TEST(FramedConn, CorruptionAfterParsedFramesBreaksUntrustedLink) {
+  // Corruption behind already-parsed frames is still reported, at the read
+  // offset, as kError with the connection marked broken.
+  std::vector<std::uint8_t> stream;
+  wire::append_frame(stream, wire::FrameKind::kReady, {});
+  wire::append_frame(stream, wire::FrameKind::kActorMsg,
+                     std::vector<std::uint8_t>(64, 7));
+  stream.insert(stream.end(), 32, 0xFF);
+  netio::Conn c;
+  c.in = stream;
+  wire::Frame f;
+  std::string error;
+  EXPECT_EQ(netio::try_next_frame(c, f, &error), netio::FrameResult::kFrame);
+  EXPECT_EQ(f.kind, wire::FrameKind::kReady);
+  EXPECT_EQ(netio::try_next_frame(c, f, &error), netio::FrameResult::kFrame);
+  EXPECT_EQ(f.body, std::vector<std::uint8_t>(64, 7));
+  EXPECT_EQ(netio::try_next_frame(c, f, &error), netio::FrameResult::kError);
+  EXPECT_TRUE(c.broken);
+  EXPECT_FALSE(error.empty());
 }
 
 TEST(WireFrames, CorruptionIsDetected) {
