@@ -288,11 +288,7 @@ void JoinProcessActor::handle_build_chunk(const Chunk& chunk,
   }
 
   if (spiller_) {
-    double seconds = 0.0;
-    for (std::size_t i = 0; i < mine->size(); ++i) {
-      seconds += spiller_->add_build(mine->tuple(i));
-    }
-    charge(seconds);
+    charge(spiller_->add_build(*mine));
     return;
   }
   charge(static_cast<double>(mine->size()) * config_->cost.tuple_insert_sec);
@@ -308,12 +304,7 @@ void JoinProcessActor::handle_build_chunk(const Chunk& chunk,
 void JoinProcessActor::handle_probe_chunk(const Chunk& chunk) {
   probe_tuples_ += chunk.size();
   if (spiller_) {
-    double seconds = 0.0;
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
-      seconds +=
-          spiller_->add_probe(chunk.batch.tuple(i), result_, capture_sink());
-    }
-    charge(seconds);
+    charge(spiller_->add_probe(chunk.batch, result_, capture_sink()));
     return;
   }
   const auto agg = table_->probe_batch(chunk.batch, capture_sink());
@@ -417,12 +408,9 @@ void JoinProcessActor::enter_spill_mode() {
   spiller_.emplace(config_->build_rel.schema, range_, budget(),
                    config_->spill_fanout, disk_, config_->cost,
                    static_cast<std::uint64_t>(id()) + 1);
-  // Re-home the current table contents through the spiller (evictions are
-  // charged as real disk writes).
-  std::vector<Tuple> all = table_->extract_range(range_);
-  double seconds = 0.0;
-  for (const Tuple& t : all) seconds += spiller_->add_build(t);
-  charge(seconds);
+  // Hand the table to the spiller, which evicts what re-adding its rows
+  // would (evictions are charged as real disk writes).
+  charge(spiller_->adopt(std::move(*table_)));
   table_.reset();
   memory_request_pending_ = false;
   EHJA_INFO(name(), "pool exhausted: switched to out-of-core spilling");
@@ -558,10 +546,9 @@ double JoinProcessActor::rebuild_spiller(const RangeResetPayload& reset,
                                  : SpillPolicy::kEvictLargest;
   spiller_.emplace(config_->build_rel.schema, range_, budget(),
                    config_->spill_fanout, disk_, config_->cost, ns, policy);
-  for (const Tuple& t : build_keep) seconds += spiller_->add_build(t);
-  for (const Tuple& t : probe_keep) {
-    seconds += spiller_->add_probe(t, result_, capture_sink());
-  }
+  seconds += spiller_->add_build(TupleBatch::from_tuples(build_keep));
+  seconds += spiller_->add_probe(TupleBatch::from_tuples(probe_keep), result_,
+                                 capture_sink());
   return seconds;
 }
 

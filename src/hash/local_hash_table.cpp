@@ -292,10 +292,7 @@ LocalHashTable::BatchProbeResult LocalHashTable::probe_batch(
 std::vector<Tuple> LocalHashTable::extract_range(const PosRange& sub) {
   EHJA_CHECK(sub.lo >= range_.lo && sub.hi <= range_.hi);
   seal();
-  std::uint64_t removed = 0;
-  for (std::uint64_t pos = sub.lo; pos < sub.hi; ++pos) {
-    removed += run(pos).count;
-  }
+  const std::uint64_t removed = count_range(sub);
   std::vector<Tuple> extracted;
   if (removed == 0) return extracted;
   extracted.reserve(static_cast<std::size_t>(removed));
@@ -314,6 +311,56 @@ std::vector<Tuple> LocalHashTable::extract_range(const PosRange& sub) {
   // removed row; an emptied table releases its rows at once).
   if (holes_ > tuple_count_) rebuild();
   return extracted;
+}
+
+std::vector<Tuple> LocalHashTable::extract_unordered(const PosRange& sub) {
+  EHJA_CHECK(sub.lo >= range_.lo && sub.hi <= range_.hi);
+  const std::uint64_t removed = count_range(sub);
+  std::vector<Tuple> extracted;
+  if (removed == 0) return extracted;
+  extracted.reserve(static_cast<std::size_t>(removed));
+  // Take the sub-range's tail rows, compacting the rest of the tail in
+  // place, and count them per position: a run's sealed rows are its count
+  // minus its tail rows.
+  std::vector<std::uint32_t> tail(static_cast<std::size_t>(sub.width()), 0);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < tail_rows_; ++i) {
+    const Row row = tail_[i / kBlockRows][i % kBlockRows];
+    const std::uint64_t pos = position_of(row.key);
+    if (sub.contains(pos)) {
+      extracted.push_back(Tuple{row.id, row.key});
+      ++tail[static_cast<std::size_t>(pos - sub.lo)];
+    } else {
+      tail_[kept / kBlockRows][kept % kBlockRows] = row;
+      ++kept;
+    }
+  }
+  tail_rows_ = kept;
+  tail_.resize((kept + kBlockRows - 1) / kBlockRows);
+  std::uint64_t sealed = 0;
+  for (std::uint64_t pos = sub.lo; pos < sub.hi; ++pos) {
+    Run& r = run(pos);
+    const std::uint32_t n =
+        r.count - tail[static_cast<std::size_t>(pos - sub.lo)];
+    const Row* it = rows_.data() + r.start;
+    for (const Row* end = it + n; it != end; ++it) {
+      extracted.push_back(Tuple{it->id, it->key});
+    }
+    sealed += n;
+    r.count = 0;
+  }
+  tuple_count_ -= removed;
+  footprint_bytes_ -= removed * tuple_footprint(schema_);
+  holes_ += sealed;
+  if (holes_ > tuple_count_) rebuild();
+  return extracted;
+}
+
+std::uint64_t LocalHashTable::count_range(const PosRange& sub) const {
+  EHJA_CHECK(sub.lo >= range_.lo && sub.hi <= range_.hi);
+  std::uint64_t n = 0;
+  for (std::uint64_t pos = sub.lo; pos < sub.hi; ++pos) n += run(pos).count;
+  return n;
 }
 
 void LocalHashTable::set_range(const PosRange& next) {

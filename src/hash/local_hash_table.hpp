@@ -24,10 +24,11 @@
 // Sealing early or late yields the same rows in the same order.  A probe
 // then reads its position's run and scans the contiguous stretch of equal
 // keys (long skewed runs are searched from an interpolated guess);
-// extract_range copies each run of the sub-range out; histogram() and
-// set_range() read the counts and never seal.  Rows removed by
-// extract_range leave holes that the next seal drops; once holes outnumber
-// live rows the table compacts at once.
+// extract_range copies each run of the sub-range out (extract_unordered
+// skips the seal and the order); histogram(),
+// count_range() and set_range() read the counts and never seal.  Rows
+// removed by extract_range leave holes that the next seal drops; once holes
+// outnumber live rows the table compacts at once.
 //
 // ProbeResult::comparisons reports what the modeled 2004 structure pays --
 // a binary search over the position's rows plus one comparison per match --
@@ -111,6 +112,16 @@ class LocalHashTable {
   /// Remove and return every tuple whose position lies in `sub` (must be
   /// inside range()); footprint shrinks accordingly.
   std::vector<Tuple> extract_range(const PosRange& sub);
+
+  /// extract_range without the order: the rows come out in no particular
+  /// order and the table is not sealed first (the sub-range's unsealed rows
+  /// are filtered out of the tail).  For callers that sort the rows their
+  /// own way anyway -- spill eviction.
+  std::vector<Tuple> extract_unordered(const PosRange& sub);
+
+  /// Rows whose position lies in `sub` (must be inside range()); reads the
+  /// run counts and never seals.
+  std::uint64_t count_range(const PosRange& sub) const;
 
   /// Shrink/slide the owned range after a reshuffle; every retained tuple
   /// must lie inside the new range (checked).

@@ -1,7 +1,8 @@
 #include "join/grace_join.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <array>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "util/math.hpp"
@@ -13,6 +14,143 @@ namespace {
 std::uint64_t part_boundary(const PosRange& range, std::size_t k,
                             std::size_t fanout) {
   return range.lo + range.width() * k / fanout;
+}
+
+/// Sorts rows by key, in place but for a cache-sized buffer.  Each pass
+/// distributes rows by their key's offset within [min key, max key], which
+/// for the smooth key spreads spilled partitions hold is close to linear: a
+/// range longer than kBufferRows is cut into up to kFanout buckets in place
+/// (each row swapped straight into its bucket) and each bucket sorted the
+/// same way; a shorter one is scattered through the buffer into about one
+/// bucket per four rows, each then insertion-sorted.
+class KeySort {
+ public:
+  void operator()(Tuple* first, std::size_t n) {
+    if (n <= kInsertionMax) {
+      insertion_sort(first, n);
+      return;
+    }
+    const auto [min, max] = std::minmax_element(first, first + n, by_key);
+    const std::uint64_t lo = min->key;
+    const std::uint64_t span = max->key - lo;
+    if (span == 0) return;  // all keys equal
+    const std::size_t want = n <= kBufferRows ? n / 4 : kFanout;
+    unsigned shift = 0;
+    while ((span >> shift) >= want) ++shift;
+    const auto bucket = [lo, shift](const Tuple& t) {
+      return static_cast<std::size_t>((t.key - lo) >> shift);
+    };
+    const std::size_t buckets = bucket(*max) + 1;
+    if (n <= kBufferRows) {
+      // Bucket sizes, then each bucket's first slot, then (after the
+      // scatter) each bucket's end.
+      ends_.assign(buckets, 0);
+      for (const Tuple* t = first; t != first + n; ++t) ++ends_[bucket(*t)];
+      std::size_t at = 0;
+      for (std::size_t& slot : ends_) at += std::exchange(slot, at);
+      buffer_.resize(n);
+      for (const Tuple* t = first; t != first + n; ++t) {
+        buffer_[ends_[bucket(*t)]++] = *t;
+      }
+      std::copy_n(buffer_.data(), n, first);
+      std::size_t begin = 0;
+      for (const std::size_t end : ends_) {
+        if (end - begin > kInsertionMax) {
+          std::sort(first + begin, first + end, by_key);
+        } else {
+          insertion_sort(first + begin, end - begin);
+        }
+        begin = end;
+      }
+      return;
+    }
+    std::array<std::size_t, kFanout> next{};
+    std::array<std::size_t, kFanout> end{};
+    for (const Tuple* t = first; t != first + n; ++t) ++end[bucket(*t)];
+    std::size_t at = 0;
+    for (std::size_t b = 0; b < buckets; ++b) {
+      next[b] = at;
+      at += end[b];
+      end[b] = at;
+    }
+    for (std::size_t b = 0; b < buckets; ++b) {
+      while (next[b] < end[b]) {
+        Tuple t = first[next[b]];
+        for (std::size_t d = bucket(t); d != b; d = bucket(t)) {
+          std::swap(t, first[next[d]++]);
+        }
+        first[next[b]++] = t;
+      }
+    }
+    std::size_t begin = 0;
+    for (std::size_t b = 0; b < buckets; ++b) {
+      (*this)(first + begin, end[b] - begin);
+      begin = end[b];
+    }
+  }
+
+ private:
+  static constexpr std::size_t kInsertionMax = 32;
+  static constexpr std::size_t kFanout = 256;
+  static constexpr std::size_t kBufferRows = std::size_t{1} << 14;  // 256 KiB
+
+  static bool by_key(const Tuple& a, const Tuple& b) { return a.key < b.key; }
+
+  static void insertion_sort(Tuple* first, std::size_t n) {
+    for (std::size_t i = 1; i < n; ++i) {
+      const Tuple t = first[i];
+      std::size_t j = i;
+      for (; j > 0 && first[j - 1].key > t.key; --j) first[j] = first[j - 1];
+      first[j] = t;
+    }
+  }
+
+  std::vector<Tuple> buffer_;
+  std::vector<std::size_t> ends_;
+};
+
+/// End of the run of rows from `i` on whose positions lie in `range`.
+std::size_t run_end(const TupleBatch& batch, std::size_t i,
+                    const PosRange& range) {
+  const std::uint32_t* positions = batch.positions().data();
+  std::size_t end = i + 1;
+  while (end < batch.size() && range.contains(positions[end])) ++end;
+  return end;
+}
+
+/// Join two key-sorted row sets: every (r, s) pair with equal keys, once.
+/// Returns the number of matches.
+std::uint64_t merge_sorted(const std::vector<Tuple>& r,
+                           const std::vector<Tuple>& s, JoinResult& acc,
+                           std::vector<Tuple>* sink) {
+  std::uint64_t matches = 0;
+  auto ri = r.begin();
+  auto si = s.begin();
+  while (ri != r.end() && si != s.end()) {
+    if (ri->key < si->key) {
+      ++ri;
+      continue;
+    }
+    if (si->key < ri->key) {
+      ++si;
+      continue;
+    }
+    const std::uint64_t key = ri->key;
+    const auto other_key = [key](const Tuple& t) { return t.key != key; };
+    const auto r_end = std::find_if(ri, r.end(), other_key);
+    const auto s_end = std::find_if(si, s.end(), other_key);
+    for (auto a = ri; a != r_end; ++a) {
+      for (auto b = si; b != s_end; ++b) {
+        ++matches;
+        acc.checksum += match_signature(a->id, b->id);
+        if (sink) sink->push_back(Tuple{a->id, b->id});
+      }
+    }
+    ri = r_end;
+    si = s_end;
+  }
+  acc.matches += matches;
+  return matches;
 }
 
 }  // namespace
@@ -58,21 +196,116 @@ std::size_t HybridHashSpiller::partition_of(std::uint64_t pos) const {
   return k;
 }
 
-double HybridHashSpiller::add_build(const Tuple& t) {
+double HybridHashSpiller::spill_rows(std::vector<Tuple>& side, SpillFile& file,
+                                     const TupleBatch& batch,
+                                     std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) side.push_back(batch.tuple(i));
+  const std::size_t n = end - begin;
+  file.note_records(n);
+  // One append of n rows flushes the same buffers, in the same order, as n
+  // one-row appends: nothing else touches the disk in between.
+  return static_cast<double>(n) * cost_->tuple_pack_sec +
+         file.append(n * schema_.tuple_bytes);
+}
+
+double HybridHashSpiller::adopt(LocalHashTable table) {
   EHJA_CHECK(!finished_);
-  ++build_tuples_;
-  const std::uint64_t pos = position_of(t.key);
-  Partition& part = partitions_[partition_of(pos)];
-  if (part.spilled) {
-    part.r_tuples.push_back(t);
-    part.r_file->note_records(1);
-    return cost_->tuple_pack_sec + part.r_file->append(schema_.tuple_bytes);
+  EHJA_CHECK_MSG(build_tuples_ == 0, "adopt into a spiller that holds rows");
+  EHJA_CHECK_MSG(table.range() == range(),
+                 "adopted table covers another range");
+  table_ = std::move(table);
+  build_tuples_ = table_.tuple_count();
+  for (Partition& part : partitions_) {
+    part.mem_tuples = table_.count_range(part.range);
   }
-  table_.insert(t);
-  ++part.mem_tuples;
-  double seconds = cost_->tuple_insert_sec;
-  if (table_.footprint_bytes() > budget_ &&
-      policy_ == SpillPolicy::kEvictAll) {
+  // Replay re-adding the rows one at a time in position order: partition k's
+  // rows enter after all of partition k-1's, and the table overflows on the
+  // row that takes it past the budget.  `entered` is what the replay holds
+  // in memory; evict() moves a victim's *whole* sub-partition to disk, which
+  // for a partly entered victim also covers its rows still to come -- the
+  // same rows, in the same disk-write order, as the row-by-row re-add.
+  const std::uint64_t footprint = tuple_footprint(schema_);
+  std::vector<std::uint64_t> entered(partitions_.size(), 0);
+  std::uint64_t resident = 0;  // the replay's table footprint
+  std::uint64_t inserts = 0;
+  double seconds = 0.0;
+  const auto evict_entered = [&](std::size_t victim) {
+    resident -= entered[victim] * footprint;
+    seconds += evict(victim);
+  };
+  for (std::size_t k = 0; k < partitions_.size(); ++k) {
+    std::uint64_t left = partitions_[k].mem_tuples;
+    while (left != 0 && !partitions_[k].spilled) {
+      const std::uint64_t room = (budget_ - resident) / footprint;
+      const std::uint64_t n = std::min(left, room + 1);
+      entered[k] += n;
+      resident += n * footprint;
+      inserts += n;
+      left -= n;
+      if (resident <= budget_) continue;
+      if (policy_ == SpillPolicy::kEvictAll) {
+        for (std::size_t j = 0; j < partitions_.size(); ++j) {
+          if (!partitions_[j].spilled) evict_entered(j);
+        }
+        continue;
+      }
+      while (resident > budget_) {
+        evict_entered(largest_resident(
+            [&entered](std::size_t j) { return entered[j]; }));
+      }
+    }
+  }
+  EHJA_CHECK(resident == table_.footprint_bytes());
+  return seconds + static_cast<double>(inserts) * cost_->tuple_insert_sec;
+}
+
+double HybridHashSpiller::add_build(const TupleBatch& batch) {
+  EHJA_CHECK(!finished_);
+  build_tuples_ += batch.size();
+  const std::uint64_t footprint = tuple_footprint(schema_);
+  double seconds = 0.0;
+  std::size_t i = 0;
+  while (i < batch.size()) {
+    // Route rows up to the one that takes the table past the budget (the
+    // table is within budget between calls), then insert and evict.
+    const std::uint64_t room =
+        (budget_ - table_.footprint_bytes()) / footprint;
+    resident_.clear();
+    while (i < batch.size() && resident_.size() <= room) {
+      Partition& part = partitions_[partition_of(batch.position(i))];
+      std::size_t end = run_end(batch, i, part.range);
+      if (part.spilled) {
+        seconds += spill_rows(part.r_tuples, *part.r_file, batch, i, end);
+      } else {
+        end = std::min<std::size_t>(end, i + (room + 1 - resident_.size()));
+        resident_.append_range(batch, i, end);
+        part.mem_tuples += end - i;
+      }
+      i = end;
+    }
+    table_.insert_batch(resident_);
+    seconds +=
+        static_cast<double>(resident_.size()) * cost_->tuple_insert_sec;
+    if (table_.footprint_bytes() > budget_) seconds += relieve();
+  }
+  return seconds;
+}
+
+template <typename Rows>
+std::size_t HybridHashSpiller::largest_resident(Rows rows) const {
+  std::size_t victim = partitions_.size();
+  for (std::size_t k = 0; k < partitions_.size(); ++k) {
+    if (partitions_[k].spilled) continue;
+    if (victim == partitions_.size() || rows(k) > rows(victim)) victim = k;
+  }
+  EHJA_CHECK_MSG(victim < partitions_.size(),
+                 "over budget with every partition already spilled");
+  return victim;
+}
+
+double HybridHashSpiller::relieve() {
+  double seconds = 0.0;
+  if (policy_ == SpillPolicy::kEvictAll) {
     // Basic GRACE: the first overflow sends every partition to disk; from
     // here on the whole join streams through the disk.
     for (std::size_t k = 0; k < partitions_.size(); ++k) {
@@ -81,59 +314,54 @@ double HybridHashSpiller::add_build(const Tuple& t) {
     return seconds;
   }
   while (table_.footprint_bytes() > budget_) {
-    seconds += evict_largest();
+    seconds += evict(largest_resident(
+        [this](std::size_t k) { return partitions_[k].mem_tuples; }));
   }
   return seconds;
-}
-
-double HybridHashSpiller::evict_largest() {
-  std::size_t victim = partitions_.size();
-  for (std::size_t k = 0; k < partitions_.size(); ++k) {
-    if (partitions_[k].spilled) continue;
-    if (victim == partitions_.size() ||
-        partitions_[k].mem_tuples > partitions_[victim].mem_tuples) {
-      victim = k;
-    }
-  }
-  EHJA_CHECK_MSG(victim < partitions_.size(),
-                 "over budget with every partition already spilled");
-  return evict(victim);
 }
 
 double HybridHashSpiller::evict(std::size_t victim) {
   Partition& part = partitions_[victim];
   part.spilled = true;
-  std::vector<Tuple> evicted = table_.extract_range(part.range);
+  evictions_.push_back(victim);
+  // Phase 3 sorts the partition itself, so the table is not sealed for it.
+  std::vector<Tuple> evicted = table_.extract_unordered(part.range);
   EHJA_CHECK(evicted.size() == part.mem_tuples);
   part.mem_tuples = 0;
   double seconds =
       static_cast<double>(evicted.size()) * cost_->tuple_pack_sec;
   seconds += part.r_file->append(evicted.size() * schema_.tuple_bytes);
   part.r_file->note_records(evicted.size());
-  if (part.r_tuples.empty()) {
-    part.r_tuples = std::move(evicted);
-  } else {
-    part.r_tuples.insert(part.r_tuples.end(), evicted.begin(), evicted.end());
-  }
+  part.r_tuples = std::move(evicted);  // nothing reached it before the spill
   return seconds;
 }
 
-double HybridHashSpiller::add_probe(const Tuple& t, JoinResult& acc,
+double HybridHashSpiller::add_probe(const TupleBatch& batch, JoinResult& acc,
                                     std::vector<Tuple>* sink) {
   EHJA_CHECK(!finished_);
-  const std::uint64_t pos = position_of(t.key);
-  Partition& part = partitions_[partition_of(pos)];
-  if (part.spilled) {
-    part.s_tuples.push_back(t);
-    part.s_file->note_records(1);
-    return cost_->tuple_pack_sec + part.s_file->append(schema_.tuple_bytes);
+  double seconds = 0.0;
+  const TupleBatch* resident = &batch;
+  if (any_spilled()) {
+    resident_.clear();
+    for (std::size_t i = 0; i < batch.size();) {
+      Partition& part = partitions_[partition_of(batch.position(i))];
+      const std::size_t end = run_end(batch, i, part.range);
+      if (part.spilled) {
+        seconds += spill_rows(part.s_tuples, *part.s_file, batch, i, end);
+      } else {
+        resident_.append_range(batch, i, end);
+      }
+      i = end;
+    }
+    resident = &resident_;
   }
-  const auto probe = table_.probe(t, sink);
-  acc.matches += probe.matches;
-  acc.checksum += probe.checksum_delta;
-  return cost_->tuple_probe_sec +
-         static_cast<double>(probe.comparisons) * cost_->tuple_compare_sec +
-         static_cast<double>(probe.matches) * cost_->match_emit_sec;
+  const auto agg = table_.probe_batch(*resident, sink);
+  acc.matches += agg.matches;
+  acc.checksum += agg.checksum_delta;
+  return seconds +
+         static_cast<double>(agg.probed) * cost_->tuple_probe_sec +
+         static_cast<double>(agg.comparisons) * cost_->tuple_compare_sec +
+         static_cast<double>(agg.matches) * cost_->match_emit_sec;
 }
 
 double HybridHashSpiller::join_partition(Partition& part, JoinResult& acc,
@@ -146,35 +374,32 @@ double HybridHashSpiller::join_partition(Partition& part, JoinResult& acc,
     seconds += part.s_file->scan_all();
     return seconds;
   }
+  // The modeled cost: when R_k exceeds the budget, each pass reads one R
+  // fragment, builds a table over it and rescans the whole of S_k.
   const std::uint64_t r_footprint =
       part.r_tuples.size() * tuple_footprint(schema_);
   const std::size_t passes =
       static_cast<std::size_t>(ceil_div(r_footprint, budget_));
   const std::size_t n = part.r_tuples.size();
+  const std::size_t s_rows = part.s_tuples.size();
   for (std::size_t f = 0; f < passes; ++f) {
     const std::size_t begin = n * f / passes;
     const std::size_t end = n * (f + 1) / passes;
-    // Read this R fragment and build an in-memory table over it.
     seconds += part.r_file->scan((end - begin) * schema_.tuple_bytes);
-    seconds += static_cast<double>(end - begin) * cost_->tuple_insert_sec;
-    std::unordered_multimap<std::uint64_t, std::uint64_t> fragment;
-    fragment.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      fragment.emplace(part.r_tuples[i].key, part.r_tuples[i].id);
-    }
-    // Each pass rescans the full S partition -- the multi-pass penalty.
-    seconds += part.s_file->scan(part.s_tuples.size() * schema_.tuple_bytes);
-    for (const Tuple& s : part.s_tuples) {
-      seconds += cost_->tuple_probe_sec;
-      auto [lo, hi] = fragment.equal_range(s.key);
-      for (auto it = lo; it != hi; ++it) {
-        seconds += cost_->tuple_compare_sec + cost_->match_emit_sec;
-        ++acc.matches;
-        acc.checksum += match_signature(it->second, s.id);
-        if (sink) sink->push_back(Tuple{it->second, s.id});
-      }
-    }
+    seconds += part.s_file->scan(s_rows * schema_.tuple_bytes);
   }
+  seconds += static_cast<double>(n) * cost_->tuple_insert_sec;
+  seconds += static_cast<double>(passes) * static_cast<double>(s_rows) *
+             cost_->tuple_probe_sec;
+  // The mechanism: one merge of both sides in key order finds the same
+  // matches the passes would.
+  KeySort sort;
+  sort(part.r_tuples.data(), part.r_tuples.size());
+  sort(part.s_tuples.data(), part.s_tuples.size());
+  const std::uint64_t matches =
+      merge_sorted(part.r_tuples, part.s_tuples, acc, sink);
+  seconds += static_cast<double>(matches) *
+             (cost_->tuple_compare_sec + cost_->match_emit_sec);
   return seconds;
 }
 
@@ -241,12 +466,9 @@ GraceOutcome grace_join(const Relation& build, const Relation& probe,
                             memory_budget_bytes, fanout, disk, cost,
                             /*stream_namespace=*/1);
   GraceOutcome outcome;
-  for (const Tuple& r : build.tuples()) {
-    outcome.seconds += spiller.add_build(r);
-  }
-  for (const Tuple& s : probe.tuples()) {
-    outcome.seconds += spiller.add_probe(s, outcome.result);
-  }
+  outcome.seconds += spiller.add_build(TupleBatch::from_tuples(build.tuples()));
+  outcome.seconds += spiller.add_probe(TupleBatch::from_tuples(probe.tuples()),
+                                       outcome.result);
   outcome.seconds += spiller.finish(outcome.result);
   outcome.spilled_build_tuples = spiller.spilled_build_tuples();
   outcome.spilled_probe_tuples = spiller.spilled_probe_tuples();

@@ -11,6 +11,42 @@
 // budget (each extra pass rescans S_k, which is what makes the OOC baseline
 // collapse at small initial node counts -- paper Fig. 2).
 //
+// Batch API.  add_build / add_probe take columnar TupleBatches and route
+// each row to its sub-partition by the batch's precomputed position column.
+// Rows of in-memory sub-partitions go through LocalHashTable::insert_batch /
+// probe_batch; rows of spilled ones are appended to their partition, one
+// run of same-partition rows at a time and in row order (so spill-file
+// buffer flushes, and the seeks between streams, hit the disk model in the
+// order a tuple-at-a-time loop would produce).  A
+// build batch is cut at every overflow point: the rows before it are
+// inserted, the victims are evicted, and routing resumes with the next row,
+// so every eviction happens exactly where the row-by-row discipline would
+// have put it.
+//
+// Spill entry.  adopt() takes over a join process's LocalHashTable instead
+// of extracting its rows and re-adding them.  The sub-partition counts come
+// from the table's run counts (no seal), and the evictions a re-add in
+// position order would trigger are replayed from those counts alone: rows
+// would enter sub-partition by sub-partition, and the table overflows every
+// budget / tuple_footprint rows.  Each evicted sub-partition then costs one
+// LocalHashTable::extract_unordered (no seal: phase 3 sorts the rows
+// anyway); the rows that stay in memory are never copied.
+//
+// Phase 3.  finish() *models* the multi-pass join: per pass, read one R
+// fragment, build over it, rescan all of S_k -- those disk reads and CPU
+// charges are what the simulator's timelines see.  The *mechanism* joins
+// each pair once in key order: both sides are sorted by key, in place, by
+// distribution passes on the key's offset (a position is the key's top
+// bits, so key order is also position order), and merged, which yields
+// exactly the matches the modeled passes would.
+// It shares no code with the serial_hash_join / sort_merge_join oracles.
+//
+// Modeled seconds, evictions, spilled counts, matches, checksum and the
+// captured-row multiset equal those of a tuple-at-a-time spiller (one
+// scalar insert or probe and one overflow check per row), which
+// tests/test_join.cpp keeps as the differential reference; only the
+// floating-point summation order differs.
+//
 // All methods return the virtual seconds consumed (CPU per the cost model +
 // disk per SimDisk); the caller charges them to its node.  This component
 // serves two masters: the paper's "Out of Core" baseline algorithm, and any
@@ -25,6 +61,7 @@
 #include "cluster/cost_model.hpp"
 #include "hash/local_hash_table.hpp"
 #include "join/serial_join.hpp"
+#include "relation/tuple_batch.hpp"
 #include "storage/sim_disk.hpp"
 #include "storage/spill_file.hpp"
 
@@ -51,15 +88,20 @@ class HybridHashSpiller {
                     std::uint64_t stream_namespace,
                     SpillPolicy policy = SpillPolicy::kEvictLargest);
 
-  /// Route one build-relation tuple; may trigger sub-partition eviction.
-  double add_build(const Tuple& t);
+  /// Spill entry: take `table` (which must cover range()) as the in-memory
+  /// side of this still-empty spiller and evict what re-adding its rows in
+  /// position order would evict.  Returns the seconds that re-add costs.
+  double adopt(LocalHashTable table);
 
-  /// Route one probe-relation tuple; in-memory partitions are probed into
-  /// `acc` immediately, spilled ones are deferred to finish().  A non-null
-  /// `sink` receives one Tuple{build_row_id, probe_row_id} per match --
-  /// matches emitted here and in finish() together mirror `acc` exactly,
-  /// whichever side of a spill transition each match lands on.
-  double add_probe(const Tuple& t, JoinResult& acc,
+  /// Route a batch of build-relation rows; may trigger evictions.
+  double add_build(const TupleBatch& batch);
+
+  /// Route a batch of probe-relation rows; rows of in-memory partitions are
+  /// probed into `acc` immediately, spilled ones are deferred to finish().
+  /// A non-null `sink` receives one Tuple{build_row_id, probe_row_id} per
+  /// match -- matches emitted here and in finish() together mirror `acc`
+  /// exactly, whichever side of a spill transition each match lands on.
+  double add_probe(const TupleBatch& batch, JoinResult& acc,
                    std::vector<Tuple>* sink = nullptr);
 
   /// Join all spilled (R_k, S_k) pairs into `acc`.  Call once, after both
@@ -79,6 +121,8 @@ class HybridHashSpiller {
   std::uint64_t spilled_build_tuples() const;
   std::uint64_t spilled_probe_tuples() const;
   std::size_t spilled_partitions() const;
+  /// Sub-partition indices in the order they were evicted.
+  const std::vector<std::size_t>& evictions() const { return evictions_; }
   std::uint64_t memory_footprint() const { return table_.footprint_bytes(); }
   const PosRange& range() const { return table_.range(); }
   bool any_spilled() const { return spilled_partitions() > 0; }
@@ -95,7 +139,17 @@ class HybridHashSpiller {
   };
 
   std::size_t partition_of(std::uint64_t pos) const;
-  double evict_largest();
+  /// Append rows [begin, end) of `batch` to a spilled partition's R or S
+  /// side.
+  double spill_rows(std::vector<Tuple>& side, SpillFile& file,
+                    const TupleBatch& batch, std::size_t begin,
+                    std::size_t end);
+  /// The in-memory partition holding the most rows per `rows(k)` (the
+  /// lowest index among equals).
+  template <typename Rows>
+  std::size_t largest_resident(Rows rows) const;
+  /// Evict until the table fits the budget again (per the policy).
+  double relieve();
   double evict(std::size_t victim);
   double join_partition(Partition& part, JoinResult& acc,
                         std::vector<Tuple>* sink);
@@ -107,6 +161,9 @@ class HybridHashSpiller {
   SimDisk* disk_;
   LocalHashTable table_;
   std::vector<Partition> partitions_;
+  std::vector<std::size_t> evictions_;
+  /// Scratch for the rows of a batch that stay in memory.
+  TupleBatch resident_;
   std::uint64_t build_tuples_ = 0;
   bool finished_ = false;
 };

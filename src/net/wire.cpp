@@ -1357,12 +1357,20 @@ bool decode_relation(Reader& r, RelationSpec& v) {
     return true;
   }
   if (!r.can_hold(v.tuple_count, 2)) return false;
+  const std::uint64_t source_checksum = r.u64();
+  // Each column is read with the bulk reader, which stops at the first bad
+  // or missing byte; the rows are built only once both columns are whole.
+  const std::size_t n = static_cast<std::size_t>(v.tuple_count);
+  std::vector<std::uint64_t> ids(n);
+  if (!r.varints(ids.data(), n)) return false;
+  std::vector<std::uint64_t> keys(n);
+  if (!r.varints(keys.data(), n)) return false;
   auto data = std::make_shared<MaterializedRelation>();
-  data->source_checksum = r.u64();
-  data->rows.resize(static_cast<std::size_t>(v.tuple_count));
-  for (Tuple& t : data->rows) t.id = r.varint();
-  for (Tuple& t : data->rows) t.key = r.varint();
-  if (!r.ok()) return false;
+  data->source_checksum = source_checksum;
+  data->rows.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    data->rows.push_back(Tuple{ids[i], keys[i]});
+  }
   v.data = std::move(data);
   return true;
 }

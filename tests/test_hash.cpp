@@ -368,6 +368,64 @@ TEST(BatchEquivalenceFuzz, InsertProbeExtractInterleavings) {
   }
 }
 
+// extract_unordered against extract_range on twin tables: the same rows
+// (as a multiset), and afterwards the same table -- counts, footprint,
+// histogram and probe output, captured rows in the same order.  Probes
+// between inserts leave a mix of sealed rows and unsealed tail rows for
+// the extraction to split.
+TEST(ExtractUnorderedFuzz, SameRowsAndRemainingTableAsExtractRange) {
+  SplitMix64 rng(2027);
+  const auto by_id = [](std::vector<Tuple> rows) {
+    std::sort(rows.begin(), rows.end(), [](const Tuple& a, const Tuple& b) {
+      return a.id != b.id ? a.id < b.id : a.key < b.key;
+    });
+    return rows;
+  };
+  for (int round = 0; round < 24; ++round) {
+    const std::uint64_t lo = (rng.next_u64() % 8) * 1000;
+    const std::uint64_t width = 64 + rng.next_u64() % 4000;
+    const PosRange range{lo, lo + width};
+    const Schema schema{100};
+    LocalHashTable ordered(schema, range);
+    LocalHashTable unordered(schema, range);
+    const std::size_t hot = (round % 3 == 0) ? 1 + rng.next_u64() % 5 : 0;
+    for (int step = 0; step < 16; ++step) {
+      const std::uint64_t op = rng.next_u64() % 4;
+      if (op <= 1) {
+        // Batches past one 32k-row tail block now and then.
+        const std::size_t rows = rng.next_u64() % 8 == 0
+                                     ? 30'000 + rng.next_u64() % 10'000
+                                     : 1 + rng.next_u64() % 500;
+        const auto batch = random_batch(rng, range, rows, hot);
+        ordered.insert_batch(batch);
+        unordered.insert_batch(batch);
+      } else if (op == 2) {
+        const auto batch =
+            random_batch(rng, range, 1 + rng.next_u64() % 200, hot);
+        std::vector<Tuple> want_rows;
+        std::vector<Tuple> got_rows;
+        const auto want = ordered.probe_batch(batch, &want_rows);
+        const auto got = unordered.probe_batch(batch, &got_rows);
+        EXPECT_EQ(got.matches, want.matches);
+        EXPECT_EQ(got.comparisons, want.comparisons);
+        EXPECT_EQ(got.checksum_delta, want.checksum_delta);
+        EXPECT_EQ(got_rows, want_rows);
+      } else {
+        const std::uint64_t a = lo + rng.next_u64() % width;
+        const std::uint64_t b = lo + rng.next_u64() % width;
+        const PosRange sub{std::min(a, b), std::max(a, b) + 1};
+        EXPECT_EQ(unordered.count_range(sub), ordered.count_range(sub));
+        EXPECT_EQ(by_id(unordered.extract_unordered(sub)),
+                  by_id(ordered.extract_range(sub)));
+      }
+      EXPECT_EQ(unordered.tuple_count(), ordered.tuple_count());
+      EXPECT_EQ(unordered.footprint_bytes(), ordered.footprint_bytes());
+      EXPECT_EQ(unordered.histogram(16).weights(),
+                ordered.histogram(16).weights());
+    }
+  }
+}
+
 // ------------------------------------------ differential test vs a model
 //
 // An independent model of the table's contract: a std::unordered_multimap

@@ -14,13 +14,18 @@
 // the worker, the coordinator sees an unexpected exit, and the test fails.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/driver.hpp"
+#include "join/serial_join.hpp"
 #include "runtime/socket_runtime.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
+#include "workload/generator.hpp"
 
 namespace ehja {
 namespace {
@@ -96,6 +101,65 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, SocketOracleSuite,
                                            Algorithm::kOutOfCore,
                                            Algorithm::kAdaptive),
                          algo_test_name);
+
+// ---------------------------------------------------------------------------
+// The out-of-core path across processes.  A range-skewed split join recruits
+// the two spare nodes, exhausts the pool, and its hot nodes switch to
+// spilling; each hot node's spilled partition is many budgets long, so phase
+// 3 runs multi-pass.  Gaussian keys are all distinct, so the probe side is
+// materialized from build keys: every probe row matches, and the captured
+// output rows must equal the serial oracle's as a multiset.
+
+std::vector<Tuple> canonical(std::vector<Tuple> rows) {
+  std::sort(rows.begin(), rows.end(), [](const Tuple& a, const Tuple& b) {
+    return a.id != b.id ? a.id < b.id : a.key < b.key;
+  });
+  return rows;
+}
+
+TEST(SocketSpill, SkewedSplitSpillsMultiPassAndCapturesOracleRows) {
+  EhjaConfig config;
+  config.algorithm = Algorithm::kSplit;
+  config.initial_join_nodes = 2;
+  config.join_pool_nodes = 4;
+  config.data_sources = 2;
+  config.build_rel.tuple_count = 40'000;
+  config.probe_rel.tuple_count = 40'000;
+  config.build_rel.dist = DistributionSpec::Gaussian(0.5, 0.001);
+  config.probe_rel.dist = config.build_rel.dist;
+  config.chunk_tuples = 500;
+  config.generation_slice_tuples = 500;
+  const std::uint64_t budget_rows = 2000;
+  config.node_hash_memory_bytes =
+      budget_rows * tuple_footprint(config.build_rel.schema);
+  config.capture_output = true;
+
+  const Relation build =
+      materialize(config.build_rel, config.seed, config.data_sources);
+  auto probe_rows = std::make_shared<MaterializedRelation>();
+  SplitMix64 rng(config.seed, /*stream=*/0x5b111);
+  for (std::uint64_t i = 0; i < config.probe_rel.tuple_count; ++i) {
+    probe_rows->rows.push_back(
+        Tuple{i, build[rng.next_below(build.size())].key});
+  }
+  config.probe_rel.data = probe_rows;
+  const Relation probe =
+      materialize(config.probe_rel, config.seed, config.data_sources);
+  std::vector<Tuple> expected_rows;
+  const JoinResult expected = serial_hash_join(build, probe, &expected_rows);
+
+  RunResult run = run_ehja(config, RuntimeKind::kSocket);
+  EXPECT_EQ(run.join(), expected);
+  EXPECT_GE(run.join().matches, config.probe_rel.tuple_count);
+  EXPECT_EQ(canonical(std::move(run.metrics.output_rows)),
+            canonical(std::move(expected_rows)));
+  std::uint64_t most_spilled = 0;
+  for (const NodeMetrics& node : run.metrics.nodes) {
+    most_spilled = std::max(most_spilled, node.spilled_build_tuples);
+  }
+  // Several budgets on one node: its phase 3 makes several passes.
+  EXPECT_GT(most_spilled, 3 * budget_rows);
+}
 
 // ---------------------------------------------------------------------------
 // Fail-stop recovery with a real SIGKILL.  The chunk-triggered kill fires

@@ -730,16 +730,28 @@ TEST(WireConfig, RoundTripReencodesIdentically) {
   EXPECT_EQ(decoded.probe_rel.data, nullptr);
 }
 
-TEST(WireConfig, TruncationNeverCrashes) {
+// Every prefix of an encoded config decodes to false or a partial config,
+// never UB.  Decoding a prefix takes time linear in its length, so the
+// prefixes are dealt round-robin over kTruncationShards cases (shard j takes
+// the lengths congruent to j) that run in parallel and together cover all.
+constexpr std::size_t kTruncationShards = 8;
+
+class WireConfigTruncation : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(WireConfigTruncation, NeverCrashes) {
   Writer w;
   wire::encode_config(sample_config(), w);
   const auto bytes = w.take();
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
+  for (std::size_t len = GetParam(); len < bytes.size();
+       len += kTruncationShards) {
     Reader r(bytes.data(), len);
     EhjaConfig out;
     (void)wire::decode_config(r, out);  // false or partial -- never UB
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, WireConfigTruncation,
+                         ::testing::Range<std::size_t>(0, kTruncationShards));
 
 // --- frame layer ---
 
