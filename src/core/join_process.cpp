@@ -324,7 +324,9 @@ void JoinProcessActor::handle_split_request(const SplitRequestPayload& req) {
   EHJA_CHECK_MSG(!spiller_, "split request after switching to spill mode");
   EHJA_CHECK(req.moved.lo > range_.lo && req.moved.hi == range_.hi);
 
-  std::vector<Tuple> moved = table_->extract_range(req.moved);
+  // The receiver re-inserts the rows into its unsealed tail, so they leave
+  // in no particular order and the kept table is not sealed for them.
+  std::vector<Tuple> moved = table_->extract_unordered(req.moved);
   range_ = PosRange{range_.lo, req.moved.lo};
   table_->set_range(range_);
   forward_table_.emplace_back(req.moved, req.target);

@@ -47,11 +47,12 @@
 // not materialized; the owning join process compares footprint_bytes()
 // against its node's budget to detect bucket overflow.
 //
-// Range surgery -- extract_range() for split migration, reshuffle and spill
-// eviction, set_range() after a reshuffle -- returns the removed tuples so
-// the caller can re-chunk and ship them, keeping accounting exact.  The
-// removed tuples come out in position order and, within a position, in key
-// order (equal keys in insertion order).
+// Range surgery -- extract_range() for reshuffle and recovery,
+// extract_unordered() for split migration and spill eviction, set_range()
+// after a reshuffle -- returns the removed tuples so the caller can
+// re-chunk and ship them, keeping accounting exact.  extract_range's
+// tuples come out in position order and, within a position, in key order
+// (equal keys in insertion order).
 #pragma once
 
 #include <cstdint>
@@ -115,8 +116,9 @@ class LocalHashTable {
 
   /// extract_range without the order: the rows come out in no particular
   /// order and the table is not sealed first (the sub-range's unsealed rows
-  /// are filtered out of the tail).  For callers that sort the rows their
-  /// own way anyway -- spill eviction.
+  /// are filtered out of the tail).  For callers whose rows are re-ordered
+  /// anyway -- spill eviction buckets them by key, split migration
+  /// re-inserts them at the receiver.
   std::vector<Tuple> extract_unordered(const PosRange& sub);
 
   /// Rows whose position lies in `sub` (must be inside range()); reads the

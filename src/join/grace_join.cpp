@@ -17,12 +17,13 @@ std::uint64_t part_boundary(const PosRange& range, std::size_t k,
 }
 
 /// Sorts rows by key, in place but for a cache-sized buffer.  Each pass
-/// distributes rows by their key's offset within [min key, max key], which
-/// for the smooth key spreads spilled partitions hold is close to linear: a
-/// range longer than kBufferRows is cut into up to kFanout buckets in place
-/// (each row swapped straight into its bucket) and each bucket sorted the
-/// same way; a shorter one is scattered through the buffer into about one
-/// bucket per four rows, each then insertion-sorted.
+/// distributes rows by their key's offset within [min key, max key]: a range
+/// of at most kBufferRows is scattered through the buffer into about one
+/// bucket per four rows, each then insertion-sorted; a longer one is cut
+/// into up to kFanout buckets in place (each row swapped straight into its
+/// bucket) and each bucket sorted the same way.  The in-place swaps are
+/// latency-bound (about 80 ns a row even on uniform keys), so phase 3 hands
+/// it cache-sized key buckets and only an oversized bucket takes that path.
 class KeySort {
  public:
   void operator()(Tuple* first, std::size_t n) {
@@ -108,6 +109,26 @@ class KeySort {
   std::vector<Tuple> buffer_;
   std::vector<std::size_t> ends_;
 };
+
+/// How many of the sorted `splitters` are <= `key`: a branchless halving
+/// search over 2^b - 1 entries.
+template <std::size_t N>
+std::size_t bucket_of(const std::array<std::uint64_t, N>& splitters,
+                      std::uint64_t key) {
+  static_assert(((N + 1) & N) == 0, "2^b - 1 splitters");
+  std::size_t b = 0;
+  for (std::size_t step = (N + 1) / 2; step != 0; step /= 2) {
+    b += splitters[b + step - 1] <= key ? step : 0;
+  }
+  return b;
+}
+
+/// Rows across a side's buckets.
+std::uint64_t row_count(const std::vector<std::vector<Tuple>>& buckets) {
+  std::uint64_t n = 0;
+  for (const std::vector<Tuple>& bucket : buckets) n += bucket.size();
+  return n;
+}
 
 /// End of the run of rows from `i` on whose positions lie in `range`.
 std::size_t run_end(const TupleBatch& batch, std::size_t i,
@@ -196,10 +217,15 @@ std::size_t HybridHashSpiller::partition_of(std::uint64_t pos) const {
   return k;
 }
 
-double HybridHashSpiller::spill_rows(std::vector<Tuple>& side, SpillFile& file,
+double HybridHashSpiller::spill_rows(const Splitters& splitters,
+                                     Buckets& side, SpillFile& file,
                                      const TupleBatch& batch,
                                      std::size_t begin, std::size_t end) {
-  for (std::size_t i = begin; i < end; ++i) side.push_back(batch.tuple(i));
+  const std::uint64_t* ids = batch.ids().data();
+  const std::uint64_t* keys = batch.keys().data();
+  for (std::size_t i = begin; i < end; ++i) {
+    side[bucket_of(splitters, keys[i])].push_back(Tuple{ids[i], keys[i]});
+  }
   const std::size_t n = end - begin;
   file.note_records(n);
   // One append of n rows flushes the same buffers, in the same order, as n
@@ -275,7 +301,7 @@ double HybridHashSpiller::add_build(const TupleBatch& batch) {
       Partition& part = partitions_[partition_of(batch.position(i))];
       std::size_t end = run_end(batch, i, part.range);
       if (part.spilled) {
-        seconds += spill_rows(part.r_tuples, *part.r_file, batch, i, end);
+        seconds += spill_rows(part.splitters, part.r, *part.r_file, batch, i, end);
       } else {
         end = std::min<std::size_t>(end, i + (room + 1 - resident_.size()));
         resident_.append_range(batch, i, end);
@@ -324,16 +350,61 @@ double HybridHashSpiller::evict(std::size_t victim) {
   Partition& part = partitions_[victim];
   part.spilled = true;
   evictions_.push_back(victim);
-  // Phase 3 sorts the partition itself, so the table is not sealed for it.
-  std::vector<Tuple> evicted = table_.extract_unordered(part.range);
+  // The rows are bucketed by key here, so the table is not sealed for them.
+  const std::vector<Tuple> evicted = table_.extract_unordered(part.range);
   EHJA_CHECK(evicted.size() == part.mem_tuples);
   part.mem_tuples = 0;
+  choose_splitters(part, evicted);
+  part.r.assign(kBuckets, {});
+  part.s.assign(kBuckets, {});
+  // One search per row; its result sizes every bucket exactly, then places
+  // the row.
+  static_assert(kBuckets <= 256, "bucket ids are stored as bytes");
+  std::vector<std::uint8_t> bucket(evicted.size());
+  std::array<std::size_t, kBuckets> sizes{};
+  for (std::size_t i = 0; i < evicted.size(); ++i) {
+    bucket[i] = static_cast<std::uint8_t>(
+        bucket_of(part.splitters, evicted[i].key));
+    ++sizes[bucket[i]];
+  }
+  for (std::size_t b = 0; b < kBuckets; ++b) part.r[b].reserve(sizes[b]);
+  for (std::size_t i = 0; i < evicted.size(); ++i) {
+    part.r[bucket[i]].push_back(evicted[i]);
+  }
   double seconds =
       static_cast<double>(evicted.size()) * cost_->tuple_pack_sec;
   seconds += part.r_file->append(evicted.size() * schema_.tuple_bytes);
   part.r_file->note_records(evicted.size());
-  part.r_tuples = std::move(evicted);  // nothing reached it before the spill
   return seconds;
+}
+
+void HybridHashSpiller::choose_splitters(Partition& part,
+                                         const std::vector<Tuple>& evicted) {
+  // Below kSampleMin rows a sample says little about the rows to come.
+  constexpr std::size_t kSampleMin = 4 * kBuckets;
+  constexpr std::size_t kSampleMax = 16 * kBuckets;
+  if (evicted.size() < kSampleMin) {
+    // Equal-width bounds over the partition's key span.
+    constexpr unsigned kLowBits = 64 - kPositionBits;
+    static_assert(kLowBits >= kBucketBits, "a bucket narrower than a key");
+    const std::uint64_t lo = part.range.lo << kLowBits;
+    const std::uint64_t step = part.range.width() << (kLowBits - kBucketBits);
+    for (std::size_t b = 1; b < kBuckets; ++b) {
+      part.splitters[b - 1] = lo + b * step;
+    }
+    return;
+  }
+  // Equal-depth bounds: quantiles of a strided sample (only the sample is
+  // sorted).
+  const std::size_t m = std::min(evicted.size(), kSampleMax);
+  std::vector<std::uint64_t> sample(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    sample[i] = evicted[i * evicted.size() / m].key;
+  }
+  std::sort(sample.begin(), sample.end());
+  for (std::size_t b = 1; b < kBuckets; ++b) {
+    part.splitters[b - 1] = sample[b * m / kBuckets];
+  }
 }
 
 double HybridHashSpiller::add_probe(const TupleBatch& batch, JoinResult& acc,
@@ -347,7 +418,7 @@ double HybridHashSpiller::add_probe(const TupleBatch& batch, JoinResult& acc,
       Partition& part = partitions_[partition_of(batch.position(i))];
       const std::size_t end = run_end(batch, i, part.range);
       if (part.spilled) {
-        seconds += spill_rows(part.s_tuples, *part.s_file, batch, i, end);
+        seconds += spill_rows(part.splitters, part.s, *part.s_file, batch, i, end);
       } else {
         resident_.append_range(batch, i, end);
       }
@@ -367,7 +438,9 @@ double HybridHashSpiller::add_probe(const TupleBatch& batch, JoinResult& acc,
 double HybridHashSpiller::join_partition(Partition& part, JoinResult& acc,
                                          std::vector<Tuple>* sink) {
   double seconds = part.r_file->flush() + part.s_file->flush();
-  if (part.r_tuples.empty() || part.s_tuples.empty()) {
+  const std::uint64_t n = row_count(part.r);
+  const std::uint64_t s_rows = row_count(part.s);
+  if (n == 0 || s_rows == 0) {
     // Still pay the scan of whichever side has data (the 2004 code would
     // read the partition to discover it matches nothing).
     seconds += part.r_file->scan_all();
@@ -376,28 +449,28 @@ double HybridHashSpiller::join_partition(Partition& part, JoinResult& acc,
   }
   // The modeled cost: when R_k exceeds the budget, each pass reads one R
   // fragment, builds a table over it and rescans the whole of S_k.
-  const std::uint64_t r_footprint =
-      part.r_tuples.size() * tuple_footprint(schema_);
-  const std::size_t passes =
-      static_cast<std::size_t>(ceil_div(r_footprint, budget_));
-  const std::size_t n = part.r_tuples.size();
-  const std::size_t s_rows = part.s_tuples.size();
-  for (std::size_t f = 0; f < passes; ++f) {
-    const std::size_t begin = n * f / passes;
-    const std::size_t end = n * (f + 1) / passes;
+  const std::uint64_t passes = ceil_div(n * tuple_footprint(schema_), budget_);
+  for (std::uint64_t f = 0; f < passes; ++f) {
+    const std::uint64_t begin = n * f / passes;
+    const std::uint64_t end = n * (f + 1) / passes;
     seconds += part.r_file->scan((end - begin) * schema_.tuple_bytes);
     seconds += part.s_file->scan(s_rows * schema_.tuple_bytes);
   }
   seconds += static_cast<double>(n) * cost_->tuple_insert_sec;
   seconds += static_cast<double>(passes) * static_cast<double>(s_rows) *
              cost_->tuple_probe_sec;
-  // The mechanism: one merge of both sides in key order finds the same
-  // matches the passes would.
+  // The mechanism: equal keys share a bucket, so merging each bucket pair
+  // in key order finds the same matches the passes would.
   KeySort sort;
-  sort(part.r_tuples.data(), part.r_tuples.size());
-  sort(part.s_tuples.data(), part.s_tuples.size());
-  const std::uint64_t matches =
-      merge_sorted(part.r_tuples, part.s_tuples, acc, sink);
+  std::uint64_t matches = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    std::vector<Tuple>& r = part.r[b];
+    std::vector<Tuple>& s = part.s[b];
+    if (r.empty() || s.empty()) continue;
+    sort(r.data(), r.size());
+    sort(s.data(), s.size());
+    matches += merge_sorted(r, s, acc, sink);
+  }
   seconds += static_cast<double>(matches) *
              (cost_->tuple_compare_sec + cost_->match_emit_sec);
   return seconds;
@@ -428,12 +501,14 @@ double HybridHashSpiller::extract_all(std::vector<Tuple>& build_out,
     if (part.spilled) {
       seconds += part.r_file->flush() + part.s_file->flush();
       seconds += part.r_file->scan_all() + part.s_file->scan_all();
-      build_out.insert(build_out.end(), part.r_tuples.begin(),
-                       part.r_tuples.end());
-      probe_out.insert(probe_out.end(), part.s_tuples.begin(),
-                       part.s_tuples.end());
-      part.r_tuples.clear();
-      part.s_tuples.clear();
+      for (const std::vector<Tuple>& bucket : part.r) {
+        build_out.insert(build_out.end(), bucket.begin(), bucket.end());
+      }
+      for (const std::vector<Tuple>& bucket : part.s) {
+        probe_out.insert(probe_out.end(), bucket.begin(), bucket.end());
+      }
+      part.r.clear();
+      part.s.clear();
       part.spilled = false;
     }
   }
@@ -443,13 +518,13 @@ double HybridHashSpiller::extract_all(std::vector<Tuple>& build_out,
 
 std::uint64_t HybridHashSpiller::spilled_build_tuples() const {
   std::uint64_t n = 0;
-  for (const Partition& p : partitions_) n += p.r_tuples.size();
+  for (const Partition& p : partitions_) n += row_count(p.r);
   return n;
 }
 
 std::uint64_t HybridHashSpiller::spilled_probe_tuples() const {
   std::uint64_t n = 0;
-  for (const Partition& p : partitions_) n += p.s_tuples.size();
+  for (const Partition& p : partitions_) n += row_count(p.s);
   return n;
 }
 

@@ -29,16 +29,26 @@
 // position order would trigger are replayed from those counts alone: rows
 // would enter sub-partition by sub-partition, and the table overflows every
 // budget / tuple_footprint rows.  Each evicted sub-partition then costs one
-// LocalHashTable::extract_unordered (no seal: phase 3 sorts the rows
-// anyway); the rows that stay in memory are never copied.
+// LocalHashTable::extract_unordered (no seal: the rows are bucketed by key
+// on their way to disk); the rows that stay in memory are never copied.
+//
+// Spilled storage.  A spilled partition keeps each side's rows (its "disk
+// contents") in kBuckets key buckets.  Both sides share one array of
+// splitters, chosen once when the partition is evicted: equal-depth
+// quantiles of a strided sample of the evicted rows, or equal-width bounds
+// over the partition's key span when the eviction is too small to sample.
+// A row's bucket is the number of splitters at or below its key -- a
+// monotone function of the key, found by a branchless search -- so equal
+// keys of R and S always share a bucket; how well the splitters balance the
+// buckets only affects speed, never the result.
 //
 // Phase 3.  finish() *models* the multi-pass join: per pass, read one R
 // fragment, build over it, rescan all of S_k -- those disk reads and CPU
 // charges are what the simulator's timelines see.  The *mechanism* joins
-// each pair once in key order: both sides are sorted by key, in place, by
-// distribution passes on the key's offset (a position is the key's top
-// bits, so key order is also position order), and merged, which yields
-// exactly the matches the modeled passes would.
+// each pair bucket pair by bucket pair: both buckets are sorted by key and
+// merged, which yields exactly the matches the modeled passes would.  A
+// bucket pair usually fits in cache; the sort (KeySort) is kept for the
+// oversized buckets a hot key or rows outside the sampled key band make.
 // It shares no code with the serial_hash_join / sort_merge_join oracles.
 //
 // Modeled seconds, evictions, spilled counts, matches, checksum and the
@@ -54,6 +64,7 @@
 // exhausted.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -128,22 +139,34 @@ class HybridHashSpiller {
   bool any_spilled() const { return spilled_partitions() > 0; }
 
  private:
+  static constexpr unsigned kBucketBits = 8;
+  static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
+  /// Sorted bucket bounds: bucket b holds the keys k with
+  /// splitters[b - 1] <= k < splitters[b].
+  using Splitters = std::array<std::uint64_t, kBuckets - 1>;
+  /// One side's "disk contents": kBuckets key buckets once spilled.
+  using Buckets = std::vector<std::vector<Tuple>>;
+
   struct Partition {
     PosRange range;
     bool spilled = false;
     std::uint64_t mem_tuples = 0;  // build tuples currently in memory
     std::unique_ptr<SpillFile> r_file;
     std::unique_ptr<SpillFile> s_file;
-    std::vector<Tuple> r_tuples;  // "disk contents"
-    std::vector<Tuple> s_tuples;
+    Splitters splitters{};  // chosen by evict(), shared by both sides
+    Buckets r;
+    Buckets s;
   };
 
   std::size_t partition_of(std::uint64_t pos) const;
   /// Append rows [begin, end) of `batch` to a spilled partition's R or S
   /// side.
-  double spill_rows(std::vector<Tuple>& side, SpillFile& file,
-                    const TupleBatch& batch, std::size_t begin,
-                    std::size_t end);
+  double spill_rows(const Splitters& splitters, Buckets& side,
+                    SpillFile& file, const TupleBatch& batch,
+                    std::size_t begin, std::size_t end);
+  /// Choose `part`'s splitters from its evicted rows.
+  static void choose_splitters(Partition& part,
+                               const std::vector<Tuple>& evicted);
   /// The in-memory partition holding the most rows per `rows(k)` (the
   /// lowest index among equals).
   template <typename Rows>

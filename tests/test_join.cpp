@@ -359,6 +359,13 @@ class ReferenceSpiller {
     for (const Partition& p : partitions_) n += p.s_tuples.size();
     return n;
   }
+  std::vector<Tuple> spilled_probe_rows() const {
+    std::vector<Tuple> rows;
+    for (const Partition& p : partitions_) {
+      rows.insert(rows.end(), p.s_tuples.begin(), p.s_tuples.end());
+    }
+    return rows;
+  }
 
   std::uint64_t build_tuples = 0;
   std::vector<std::size_t> evictions;
@@ -404,11 +411,16 @@ class ReferenceSpiller {
   std::vector<Partition> partitions_;
 };
 
-enum class KeyShape { kUniform, kGaussian, kSmallDomain };
+enum class KeyShape { kUniform, kGaussian, kSmallDomain, kHotKey, kDrift };
 
 /// `n` rows whose positions lie in `range`, shaped like the workload
 /// distributions: uniform over the range, a narrow gaussian band around
-/// its middle, or a small domain of repeated keys.
+/// its middle, or a small domain of repeated keys.  Two more shapes aim at
+/// the spilled partitions' key buckets: one hot key on an eighth of the
+/// rows (it fills whole runs of a sample's quantiles, so it sits on a
+/// splitter), and a drift whose first third lies in the middle 1/64 of the
+/// range and the rest alternately in its lowest and top 1/64 (outside the
+/// band an early eviction samples, crowding into the edge buckets).
 std::vector<Tuple> rows_in(const PosRange& range, KeyShape shape,
                            std::size_t n, std::uint64_t id_base,
                            SplitMix64& rng) {
@@ -426,6 +438,11 @@ std::vector<Tuple> rows_in(const PosRange& range, KeyShape shape,
   }
   const double sigma =
       std::max(1.0, static_cast<double>(range.width()) * 0.002);
+  const std::uint64_t hot =
+      shape == KeyShape::kHotKey
+          ? key_at(range.lo + rng.next_below(range.width()))
+          : 0;
+  const std::uint64_t band = std::max<std::uint64_t>(1, range.width() / 64);
   std::vector<Tuple> rows;
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t key = 0;
@@ -445,6 +462,17 @@ std::vector<Tuple> rows_in(const PosRange& range, KeyShape shape,
       case KeyShape::kSmallDomain:
         key = domain[rng.next_below(domain.size())];
         break;
+      case KeyShape::kHotKey:
+        key = rng.next_below(8) == 0
+                  ? hot
+                  : key_at(range.lo + rng.next_below(range.width()));
+        break;
+      case KeyShape::kDrift: {
+        std::uint64_t base = range.lo + range.width() / 2;
+        if (i >= n / 3) base = i % 2 == 0 ? range.lo : range.hi - band;
+        key = key_at(std::min(base + rng.next_below(band), range.hi - 1));
+        break;
+      }
     }
     rows.push_back(Tuple{id_base + i, key});
   }
@@ -488,6 +516,9 @@ struct DiffCase {
   int adopt;          // 0: fresh spiller, 1: unsealed table, 2: sealed table
   std::size_t build;  // build rows (the first third go to the adopted table)
   std::size_t probe;
+  /// Stop after half the probe rows and drain the spiller with
+  /// extract_all instead of finishing.
+  bool extract_all = false;
 };
 
 void run_differential(const DiffCase& c) {
@@ -524,6 +555,7 @@ void run_differential(const DiffCase& c) {
   for (std::size_t i = 0; i < probe.size() && !build.empty(); i += 2) {
     probe[i].key = build[rng.next_below(build.size())].key;
   }
+  if (c.extract_all) probe.resize(probe.size() / 2);
 
   std::size_t first = 0;
   if (c.adopt != 0) {
@@ -581,6 +613,21 @@ void run_differential(const DiffCase& c) {
   EXPECT_EQ(batched.build_tuples(), reference.build_tuples);
   EXPECT_EQ(batched.spilled_build_tuples(), reference.spilled_build_tuples());
   EXPECT_EQ(batched.spilled_probe_tuples(), reference.spilled_probe_tuples());
+
+  if (c.extract_all) {
+    // Every build row fed, and every probe row deferred to phase 3, comes
+    // back once; the spiller is left empty.
+    std::vector<Tuple> build_out;
+    std::vector<Tuple> probe_out;
+    batched.extract_all(build_out, probe_out);
+    EXPECT_EQ(canonical(build_out), canonical(build));
+    EXPECT_EQ(canonical(probe_out), canonical(reference.spilled_probe_rows()));
+    EXPECT_EQ(batched_result, reference_result);
+    EXPECT_EQ(batched.spilled_build_tuples(), 0u);
+    EXPECT_EQ(batched.spilled_probe_tuples(), 0u);
+    EXPECT_EQ(batched.memory_footprint(), 0u);
+    return;
+  }
 
   expect_seconds(batched.finish(batched_result, &batched_sink),
                  reference.finish(reference_result, &reference_sink),
@@ -642,6 +689,46 @@ TEST(SpillerDifferentialTest, PartitionsLongerThanOneSortBufferAgree) {
   run_differential(DiffCase{62, SpillPolicy::kEvictAll,
                             KeyShape::kSmallDomain, 2, 4000, 2, 0, 40000,
                             1000});
+}
+
+TEST(SpillerDifferentialTest, KeyBucketEdgeCasesAgree) {
+  for (const SpillPolicy policy :
+       {SpillPolicy::kEvictLargest, SpillPolicy::kEvictAll}) {
+    // One hot key on a splitter, duplicated on both sides: evictions of
+    // thousands of rows, so the splitters are sampled.
+    for (const int adopt : {0, 1}) {
+      run_differential(DiffCase{static_cast<std::uint64_t>(71 + adopt), policy,
+                                KeyShape::kHotKey, 2, 3000, 1, adopt, 12000,
+                                4000});
+    }
+    // Later rows outside the first eviction's sampled band: one partition,
+    // so they crowd into the edge buckets (over a sort buffer's worth).
+    run_differential(DiffCase{73, policy, KeyShape::kDrift, 1, 2000, 1, 0,
+                              60000, 60000});
+    // Evictions too small to sample, or empty (evict-everything with most
+    // partitions untouched): equal-width splitters.
+    run_differential(DiffCase{74, policy, KeyShape::kGaussian, 16, 30, 1, 1,
+                              5000, 5000});
+    run_differential(DiffCase{75, policy, KeyShape::kDrift, 4, 1000, 2, 0,
+                              20000, 6000});
+    run_differential(DiffCase{76, policy, KeyShape::kUniform, 64, 500, 1, 0,
+                              8000, 8000});
+  }
+}
+
+TEST(SpillerDifferentialTest, ExtractAllMidStreamReturnsEveryRow) {
+  for (const SpillPolicy policy :
+       {SpillPolicy::kEvictLargest, SpillPolicy::kEvictAll}) {
+    for (const KeyShape shape :
+         {KeyShape::kUniform, KeyShape::kHotKey, KeyShape::kDrift}) {
+      for (const int adopt : {0, 2}) {
+        DiffCase c{static_cast<std::uint64_t>(81 + adopt), policy, shape, 8,
+                   400, 1, adopt, 6000, 4000};
+        c.extract_all = true;
+        run_differential(c);
+      }
+    }
+  }
 }
 
 TEST(SpillerDifferentialTest, SingleRowBatchesAndWholeStreamAgree) {

@@ -4,11 +4,15 @@
 // report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "actor_harness.hpp"
 #include "core/join_process.hpp"
 #include "core/messages.hpp"
+#include "hash/local_hash_table.hpp"
+#include "util/rng.hpp"
 
 namespace ehja {
 namespace {
@@ -159,6 +163,81 @@ TEST(JoinActorTest, SplitRequestMigratesUpperHalf) {
   const auto ends = fx.rt->sent_with_tag(Tag::kForwardEnd);
   ASSERT_EQ(ends.size(), 1u);
   EXPECT_EQ(ends[0].msg.as<ForwardEndPayload>().op_id, 3u);
+}
+
+TEST(JoinActorTest, SplitOfUnsealedTableShipsTheMovedRowsExactly) {
+  // A split ships its range without sealing the table: the shipped rows
+  // must be the moved range's multiset, and the kept table must probe as it
+  // would after an ordered extract_range.  `probe_first` seals the first
+  // half of the rows before the split, so the moved range spans both the
+  // sealed runs and the unsealed tail.
+  for (const bool probe_first : {false, true}) {
+    SCOPED_TRACE(probe_first ? "partly sealed" : "unsealed");
+    Fixture fx(Algorithm::kSplit, 10'000);
+    fx.init(PosRange{0, 1024});
+    const Schema schema = fx.config->build_rel.schema;
+    SplitMix64 rng(17);
+    const auto key_at = [&rng](std::uint64_t pos) {
+      // Four keys per position: duplicates on both sides of the cut.
+      return (pos << (64 - kPositionBits)) | rng.next_below(4);
+    };
+    std::vector<Tuple> rows;
+    for (std::uint64_t i = 0; i < 600; ++i) {
+      rows.push_back(Tuple{i, key_at(rng.next_below(1024))});
+    }
+    LocalHashTable reference(schema, PosRange{0, 1024});
+    const auto deliver_build = [&](std::size_t begin, std::size_t end) {
+      Chunk chunk;
+      chunk.rel = RelTag::kR;
+      for (std::size_t i = begin; i < end; ++i) {
+        chunk.batch.push_back(rows[i]);
+        reference.insert(rows[i]);
+      }
+      fx.deliver_chunk(std::move(chunk));
+    };
+    Chunk probe;
+    probe.rel = RelTag::kS;
+    for (std::uint64_t i = 0; i < 400; ++i) {
+      probe.batch.push_back(Tuple{1000 + i, key_at(rng.next_below(512))});
+    }
+    deliver_build(0, 300);
+    if (probe_first) {
+      Chunk miss;
+      miss.rel = RelTag::kS;
+      miss.batch.push_back(Tuple{999, key_at(3) | 0xff00});
+      fx.deliver_chunk(miss);
+      reference.probe(miss.batch.tuple(0));
+    }
+    deliver_build(300, rows.size());
+    std::vector<Tuple> expected = reference.extract_range(PosRange{512, 1024});
+    reference.set_range(PosRange{0, 512});
+
+    SplitRequestPayload req;
+    req.op_id = 4;
+    req.moved = PosRange{512, 1024};
+    req.target = 77;
+    fx.rt->deliver(fx.join, make_message(Tag::kSplitRequest, req, 48));
+    std::vector<Tuple> shipped;
+    for (const auto& sent : fx.rt->sent_with_tag(Tag::kDataChunk)) {
+      ASSERT_EQ(sent.to, 77);
+      for (const Tuple t : sent.msg.as<ChunkPayload>().chunk.batch) {
+        shipped.push_back(t);
+      }
+    }
+    const auto by_id = [](const Tuple& a, const Tuple& b) {
+      return a.id < b.id;
+    };
+    std::sort(shipped.begin(), shipped.end(), by_id);
+    std::sort(expected.begin(), expected.end(), by_id);
+    EXPECT_EQ(shipped, expected);
+    EXPECT_EQ(fx.actor->build_tuples_held(), reference.tuple_count());
+
+    fx.deliver_chunk(probe);
+    const auto agg = reference.probe_batch(probe.batch);
+    ASSERT_GT(agg.matches, 0u);
+    EXPECT_EQ(fx.actor->result().matches, agg.matches);
+    EXPECT_EQ(fx.actor->result().checksum, agg.checksum_delta);
+  }
 }
 
 TEST(JoinActorTest, StaleChunksReRoutedAfterSplit) {

@@ -315,6 +315,25 @@ int main(int argc, char** argv) {
   std::printf("-- load balance (chunks per node) --\n");
   std::printf("min %.1f | avg %.1f | max %.1f | imbalance %.2f\n", load.min(),
               load.mean(), load.max(), load.imbalance());
+  std::uint64_t spilled_build = 0;
+  std::uint64_t spilled_probe = 0;
+  const NodeMetrics* peak = nullptr;  // the largest overshoot, first of equals
+  for (const NodeMetrics& node : m.nodes) {
+    spilled_build += node.spilled_build_tuples;
+    spilled_probe += node.spilled_probe_tuples;
+    if (!peak || node.max_overshoot_bytes > peak->max_overshoot_bytes) {
+      peak = &node;
+    }
+  }
+  std::printf("-- memory --\n");
+  std::printf("spilled %llu build, %llu probe tuples\n",
+              static_cast<unsigned long long>(spilled_build),
+              static_cast<unsigned long long>(spilled_probe));
+  if (peak) {
+    std::printf("max overshoot %.3f MiB on node %d\n",
+                static_cast<double>(peak->max_overshoot_bytes) / kMiB,
+                peak->node);
+  }
   if (config.recovery_enabled()) {
     std::printf("-- failures --\n");
     std::printf("injected %u | detected %u (mean latency %.3f s) | "
