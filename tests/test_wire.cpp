@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "core/messages.hpp"
 #include "net/framed_conn.hpp"
 #include "net/wire.hpp"
+#include "serve/serve_wire.hpp"
 #include "util/units.hpp"
 
 namespace ehja {
@@ -752,6 +754,263 @@ TEST_P(WireConfigTruncation, NeverCrashes) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, WireConfigTruncation,
                          ::testing::Range<std::size_t>(0, kTruncationShards));
+
+// --- byte and verdict pins ---
+//
+// The sizes, CRCs and decode-verdict digests below were recorded from the
+// wire v7 codec.  Any change to the bytes a payload encodes to, or to what a
+// decoder accepts, moves one of them; a codec refactor must leave them all
+// in place.
+
+std::uint32_t crc_of(const std::vector<std::uint8_t>& bytes) {
+  return wire::crc32(bytes.data(), bytes.size());
+}
+
+std::vector<std::uint8_t> encode_config_bytes(const EhjaConfig& config) {
+  Writer w;
+  wire::encode_config(config, w);
+  return w.take();
+}
+
+/// sample_config() without its 12,345 materialized rows, small enough to
+/// mutate at every byte.
+EhjaConfig sample_config_without_rows() {
+  EhjaConfig c = sample_config();
+  c.build_rel.data.reset();
+  return c;
+}
+
+struct BytePin {
+  int key;  // message tag, or catalogue index
+  std::size_t size;
+  std::uint32_t crc;
+};
+
+TEST(WireMessages, CatalogueBytesArePinned) {
+  const BytePin pins[] = {
+      {1, 10, 0xf4ee5828u}, {2, 31, 0x4b96a60eu}, {3, 3, 0x15cc1f04u},
+      {10, 33, 0xf81ad9afu}, {11, 4, 0x1fee35c0u}, {20, 10, 0x9b40b49cu},
+      {21, 8, 0xb519d686u}, {22, 5, 0x666dddb7u}, {23, 6, 0x302fe226u},
+      {24, 3, 0xfdf30c2eu}, {25, 3, 0xfe77d840u}, {26, 30, 0x942f5e5du},
+      {30, 13, 0xc10548bcu}, {35, 5, 0x8e857b83u}, {31, 4, 0x00f80751u},
+      {32, 14, 0x0efe2188u}, {33, 3, 0xaa86b010u}, {34, 31, 0x448e9eccu},
+      {40, 6, 0x52d215ebu}, {41, 17, 0x0af53f19u}, {42, 15, 0x3dde5860u},
+      {43, 4, 0x84fa6dfdu}, {50, 3, 0x96468a42u}, {51, 24, 0x93babfd2u},
+      {52, 34, 0xd6b2b387u}, {60, 3, 0x837ad056u}, {61, 3, 0x2c4b4b34u},
+      {62, 3, 0x8473788au}, {63, 9, 0xa9bff57eu}, {64, 13, 0xba66ea9cu},
+      {65, 5, 0xfe609115u}, {66, 10, 0xffd60116u}, {67, 11, 0x7d3722eau},
+      {70, 164, 0xde16a222u}, {71, 6, 0x9e36d9b9u}, {72, 17, 0xa7c4d62eu},
+  };
+  const std::vector<Message> catalogue = message_catalogue();
+  ASSERT_EQ(catalogue.size(), std::size(pins));
+  for (std::size_t i = 0; i < catalogue.size(); ++i) {
+    const std::vector<std::uint8_t> bytes = encode_one(catalogue[i]);
+    EXPECT_EQ(catalogue[i].tag, pins[i].key) << "entry " << i;
+    EXPECT_EQ(bytes.size(), pins[i].size) << "tag " << catalogue[i].tag;
+    EXPECT_EQ(crc_of(bytes), pins[i].crc)
+        << "tag " << catalogue[i].tag << ": {" << catalogue[i].tag << ", "
+        << bytes.size() << ", 0x" << std::hex << crc_of(bytes) << "u}";
+  }
+  const std::vector<std::uint8_t> config = encode_config_bytes(sample_config());
+  EXPECT_EQ(config.size(), 155292u);
+  EXPECT_EQ(crc_of(config), 0x2ed7f126u) << std::hex << crc_of(config);
+}
+
+/// Decodes every one-byte variant of `bytes` and folds the verdicts (the
+/// decoder accepted the whole input, or not) into one CRC, plus the count
+/// of accepted inputs.  At each byte index the variants are:
+///   * the byte replaced by each of the 256 values (0x00, 0x01, 0x7F, 0x80
+///     and 0xFF among them), which crosses every enum maximum, strict bool,
+///     minimum and ordering check a single byte can reach;
+///   * the byte widened: its continuation bit set and 0x80 0x80 0x80 0x10
+///     inserted after it, which adds at least 2^32 to a varint ending there
+///     and so crosses every uint32 and int32 range check.
+template <class Decode>
+std::pair<std::size_t, std::uint32_t> verdict_digest(
+    const std::vector<std::uint8_t>& bytes, Decode decode) {
+  std::vector<std::uint8_t> verdicts;
+  const auto judge = [&](const std::vector<std::uint8_t>& input) {
+    Reader r(input);
+    verdicts.push_back(decode(r) && r.remaining() == 0 ? 1 : 0);
+  };
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::vector<std::uint8_t> mutated = bytes;
+    for (int value = 0; value < 256; ++value) {
+      mutated[i] = static_cast<std::uint8_t>(value);
+      judge(mutated);
+    }
+    std::vector<std::uint8_t> widened = bytes;
+    widened[i] |= 0x80;
+    const std::uint8_t tail[] = {0x80, 0x80, 0x80, 0x10};
+    widened.insert(widened.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                   std::begin(tail), std::end(tail));
+    judge(widened);
+  }
+  return {static_cast<std::size_t>(
+              std::count(verdicts.begin(), verdicts.end(), 1)),
+          crc_of(verdicts)};
+}
+
+struct VerdictPin {
+  int tag;
+  std::size_t accepted;
+  std::uint32_t digest;
+};
+
+TEST(WireMessages, DecodeVerdictsArePinned) {
+  const VerdictPin pins[] = {
+      {1, 1033, 0xd3025dd0u}, {2, 924, 0xa87acc26u}, {3, 265, 0x98b73bc3u},
+      {10, 3473, 0x82cc572eu}, {11, 389, 0x7c58333au}, {20, 1158, 0x65b9f770u},
+      {21, 902, 0x5b48f0ccu}, {22, 520, 0xdb3e4f86u}, {23, 646, 0x357ac283u},
+      {24, 265, 0x98b73bc3u}, {25, 265, 0x98b73bc3u}, {26, 794, 0x88728dbbu},
+      {30, 1161, 0x209cb383u}, {35, 392, 0xef019560u}, {31, 397, 0x1fe79c77u},
+      {32, 1298, 0x65b0aefcu}, {33, 265, 0x98b73bc3u}, {34, 924, 0xa87acc26u},
+      {40, 647, 0x5d8b49d2u}, {41, 1933, 0xb9f4c5ebu}, {42, 1417, 0xa431fcf6u},
+      {43, 388, 0x0b5f03acu}, {50, 265, 0x98b73bc3u}, {51, 3981, 0x35f6d16eu},
+      {52, 3601, 0x163e62adu}, {60, 265, 0x98b73bc3u}, {61, 265, 0x98b73bc3u},
+      {62, 265, 0x98b73bc3u}, {63, 904, 0xfdfcc188u}, {64, 910, 0x57ce2b96u},
+      {65, 391, 0x48fdaccfu}, {66, 651, 0xb3ccdd57u}, {67, 907, 0x365b2925u},
+      {70, 26437, 0x5a90d4a6u}, {71, 518, 0x525a8812u}, {72, 1563, 0x0d080889u},
+  };
+  const auto decode = [](Reader& r) {
+    Message out;
+    return wire::decode_message(r, out);
+  };
+  const std::vector<Message> catalogue = message_catalogue();
+  ASSERT_EQ(catalogue.size(), std::size(pins));
+  for (std::size_t i = 0; i < catalogue.size(); ++i) {
+    const auto [accepted, digest] =
+        verdict_digest(encode_one(catalogue[i]), decode);
+    EXPECT_EQ(catalogue[i].tag, pins[i].tag) << "entry " << i;
+    EXPECT_EQ(accepted, pins[i].accepted) << "tag " << catalogue[i].tag;
+    EXPECT_EQ(digest, pins[i].digest)
+        << "tag " << catalogue[i].tag << ": {" << catalogue[i].tag << ", "
+        << accepted << ", 0x" << std::hex << digest << "u}";
+  }
+  const auto [accepted, digest] = verdict_digest(
+      encode_config_bytes(sample_config_without_rows()), [](Reader& r) {
+        EhjaConfig out;
+        return wire::decode_config(r, out);
+      });
+  EXPECT_EQ(accepted, 68635u);
+  EXPECT_EQ(digest, 0x9d0d3f43u)
+      << "config: " << accepted << ", 0x" << std::hex << digest;
+}
+
+// --- serve payloads (serve/serve_wire.hpp) ---
+//
+// These decoders face untrusted clients: every one gets a canonical round
+// trip, pinned bytes, and a check that no prefix and no single-byte
+// mutation decodes to anything but false or one whole payload.
+
+using ReencodeFn = std::optional<std::vector<std::uint8_t>> (*)(
+    const std::vector<std::uint8_t>&);
+
+/// decode_payload() as P (true only when it consumed the whole input), then
+/// encode again; nullopt when decoding fails.
+template <class P>
+std::optional<std::vector<std::uint8_t>> reencode_as(
+    const std::vector<std::uint8_t>& bytes) {
+  Reader r(bytes);
+  P decoded;
+  if (!serve::decode_payload(r, decoded)) return std::nullopt;
+  Writer w;
+  serve::encode(w, decoded);
+  return w.take();
+}
+
+struct ServeSample {
+  const char* name;
+  std::vector<std::uint8_t> bytes;
+  ReencodeFn reencode;
+};
+
+template <class P>
+ServeSample serve_sample(const char* name, const P& payload) {
+  Writer w;
+  serve::encode(w, payload);
+  return {name, w.take(), &reencode_as<P>};
+}
+
+/// One of each client-facing payload, every field set off its default and
+/// the uint32 fields at their maximum.
+std::vector<ServeSample> serve_catalogue() {
+  std::vector<ServeSample> all;
+  all.push_back(serve_sample("ClientHello", serve::ClientHelloPayload{"alpha"}));
+  all.push_back(serve_sample(
+      "ServerHello", serve::ServerHelloPayload{true, true, "draining soon"}));
+  all.push_back(serve_sample(
+      "SubmitQuery", serve::SubmitQueryPayload{77, sample_config_without_rows()}));
+  all.push_back(serve_sample(
+      "QueryAccepted", serve::QueryAcceptedPayload{77, 1234567, 0xFFFFFFFFu}));
+  all.push_back(serve_sample(
+      "QueryRejected",
+      serve::QueryRejectedPayload{78, serve::RejectCode::kNoHello, 0xFFFFFFFFu,
+                                  "queue full"}));
+  all.push_back(serve_sample(
+      "QueryResult",
+      serve::QueryResultPayload{9, 123456, 0xfeedfacecafebeefull, 8000, 7000,
+                                0xFFFFFFFFu, 0.125, 1.5}));
+  all.push_back(
+      serve_sample("QueryStatusReq", serve::QueryStatusReqPayload{9}));
+  all.push_back(serve_sample(
+      "QueryStatus",
+      serve::QueryStatusPayload{9, serve::QueryState::kUnknown, 0xFFFFFFFFu}));
+  all.push_back(serve_sample("CancelQuery", serve::CancelQueryPayload{10}));
+  all.push_back(serve_sample("ShutdownNotice",
+                             serve::ShutdownNoticePayload{"bye"}));
+  return all;
+}
+
+TEST(WireServe, RoundTripEveryPayload) {
+  for (const ServeSample& s : serve_catalogue()) {
+    SCOPED_TRACE(s.name);
+    const auto again = s.reencode(s.bytes);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, s.bytes);
+  }
+}
+
+TEST(WireServe, PayloadBytesArePinned) {
+  const BytePin pins[] = {
+      {0, 6, 0xf7cdfe67u},  {1, 16, 0xd093c636u}, {2, 304, 0xe44a5b74u},
+      {3, 9, 0x7aab214fu},  {4, 18, 0x3dd7eacdu}, {5, 37, 0xb1f80c3eu},
+      {6, 1, 0xabde5729u},  {7, 7, 0x3a07cdc8u},  {8, 1, 0x32d70693u},
+      {9, 4, 0xbb8738d4u},
+  };
+  const std::vector<ServeSample> catalogue = serve_catalogue();
+  ASSERT_EQ(catalogue.size(), std::size(pins));
+  for (std::size_t i = 0; i < catalogue.size(); ++i) {
+    const std::vector<std::uint8_t>& bytes = catalogue[i].bytes;
+    EXPECT_EQ(bytes.size(), pins[i].size) << catalogue[i].name;
+    EXPECT_EQ(crc_of(bytes), pins[i].crc)
+        << catalogue[i].name << ": {" << i << ", " << bytes.size() << ", 0x"
+        << std::hex << crc_of(bytes) << "u}";
+  }
+}
+
+TEST(WireServe, PrefixesAndMutationsDecodeWholeOrNotAtAll) {
+  for (const ServeSample& s : serve_catalogue()) {
+    SCOPED_TRACE(s.name);
+    // Every field is required, so no strict prefix is a payload.
+    for (std::size_t len = 0; len < s.bytes.size(); ++len) {
+      const std::vector<std::uint8_t> prefix(
+          s.bytes.begin(), s.bytes.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_FALSE(s.reencode(prefix).has_value()) << "prefix " << len;
+    }
+    // A mutation may still decode (a different id, a shorter string), but
+    // only to a payload whose own encoding decodes back to itself.
+    for (std::size_t i = 0; i < s.bytes.size(); ++i) {
+      for (int value = 0; value < 256; ++value) {
+        std::vector<std::uint8_t> mutated = s.bytes;
+        mutated[i] = static_cast<std::uint8_t>(value);
+        const auto again = s.reencode(mutated);
+        if (!again.has_value()) continue;
+        EXPECT_EQ(s.reencode(*again), again) << "byte " << i << " = " << value;
+      }
+    }
+  }
+}
 
 // --- frame layer ---
 
