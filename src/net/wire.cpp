@@ -1,8 +1,11 @@
 #include "net/wire.hpp"
 
+#include <any>
+#include <array>
 #include <cstring>
-#include <limits>
+#include <map>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -241,140 +244,26 @@ bool Reader::can_hold(std::uint64_t count, std::size_t min_item_bytes) {
   return true;
 }
 
-// --- decode helpers ---
+// --- composites ---
+//
+// Hand-written pairs, kept only where decoding checks an invariant that no
+// field kind expresses, or where a column takes the bulk varint codec.
 
-namespace {
-
-/// Read a byte that must be 0 or 1 (strict: round-trips are exact and flips
-/// are decode errors, not silent coercions).
-bool read_bool(Reader& r, bool& out) {
-  const std::uint8_t v = r.u8();
-  if (v > 1) r.fail();
-  out = v == 1;
-  return r.ok();
+void fields(auto& ar, Is<PosRange> auto& v) {
+  ar.varint(v.lo);
+  ar.varint(v.hi);
 }
 
-/// Read a u8 enum discriminant that must be <= max_value.
-template <typename E>
-bool read_enum(Reader& r, E& out, std::uint8_t max_value) {
-  const std::uint8_t v = r.u8();
-  if (v > max_value) r.fail();
-  out = static_cast<E>(v);
-  return r.ok();
-}
-
-/// Read a zigzag value that must fit an ActorId / NodeId (int32).
-bool read_id(Reader& r, std::int32_t& out) {
-  const std::int64_t v = r.zigzag();
-  if (v < std::numeric_limits<std::int32_t>::min() ||
-      v > std::numeric_limits<std::int32_t>::max()) {
-    r.fail();
-  }
-  out = static_cast<std::int32_t>(v);
-  return r.ok();
-}
-
-bool read_u32(Reader& r, std::uint32_t& out) {
-  const std::uint64_t v = r.varint();
-  if (v > std::numeric_limits<std::uint32_t>::max()) r.fail();
-  out = static_cast<std::uint32_t>(v);
-  return r.ok();
-}
-
-void encode_owners(Writer& w, const std::vector<ActorId>& owners) {
-  w.varint(owners.size());
-  for (ActorId owner : owners) w.zigzag(owner);
-}
-
-bool decode_owners(Reader& r, std::vector<ActorId>& owners) {
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 1)) return false;
-  owners.clear();
-  owners.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ActorId id = kInvalidActor;
-    if (!read_id(r, id)) return false;
-    owners.push_back(id);
-  }
-  return r.ok();
-}
-
-void encode_entry(Writer& w, const PartitionMap::Entry& e) {
-  encode(w, e.range);
-  encode_owners(w, e.owners);
-}
-
-bool decode_entry(Reader& r, PartitionMap::Entry& e) {
-  return decode(r, e.range) && decode_owners(r, e.owners);
-}
-
-void encode_ranges(Writer& w, const std::vector<PosRange>& ranges) {
-  w.varint(ranges.size());
-  for (const PosRange& range : ranges) encode(w, range);
-}
-
-bool decode_ranges(Reader& r, std::vector<PosRange>& ranges) {
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 2)) return false;
-  ranges.clear();
-  ranges.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PosRange range;
-    if (!decode(r, range)) return false;
-    ranges.push_back(range);
-  }
-  return r.ok();
-}
-
-void encode_chunk_map(Writer& w, const std::map<ActorId, std::uint64_t>& m) {
-  w.varint(m.size());
-  for (const auto& [id, count] : m) {
-    w.zigzag(id);
-    w.varint(count);
-  }
-}
-
-bool decode_chunk_map(Reader& r, std::map<ActorId, std::uint64_t>& m) {
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 2)) return false;
-  m.clear();
-  ActorId prev = kInvalidActor;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ActorId id = kInvalidActor;
-    if (!read_id(r, id)) return false;
-    // std::map iterates in key order, so a valid encoding is strictly
-    // increasing; anything else is corruption.
-    if (i > 0 && id <= prev) {
-      r.fail();
-      return false;
-    }
-    prev = id;
-    const std::uint64_t value = r.varint();
-    if (!r.ok()) return false;
-    m.emplace(id, value);
-  }
-  return true;
-}
-
-}  // namespace
-
-// --- composite codecs ---
-
-void encode(Writer& w, const PosRange& v) {
-  w.varint(v.lo);
-  w.varint(v.hi);
-}
-
-bool decode(Reader& r, PosRange& v) {
-  v.lo = r.varint();
-  v.hi = r.varint();
-  return r.ok();
+void fields(auto& ar, Is<PartitionMap::Entry> auto& v) {
+  fields(ar, v.range);
+  ar.list(v.owners, 1, [&](auto& owner) { ar.id(owner); });
 }
 
 // Chunks are encoded columnar (all row ids, then all join attributes) so
 // the codec streams each column of the batch sequentially; the derived
 // position column is recomputed on decode rather than shipped.
-void encode(Writer& w, const Chunk& v) {
+void fields(Encoder& ar, const Chunk& v) {
+  Writer& w = ar.writer();
   const std::size_t n = v.batch.size();
   w.reserve(1 + kMaxVarintBytes + 2 * n * kMaxVarintBytes);
   w.u8(static_cast<std::uint8_t>(v.rel));
@@ -383,988 +272,515 @@ void encode(Writer& w, const Chunk& v) {
   w.varints(v.batch.keys().data(), n);
 }
 
-bool decode(Reader& r, Chunk& v) {
-  if (!read_enum(r, v.rel, 1)) return false;
+void fields(Decoder& ar, Chunk& v) {
+  Reader& r = ar.reader();
+  ar.code(v.rel, 1);
   const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 2)) return false;
+  if (!r.can_hold(count, 2)) return;
   const std::size_t n = static_cast<std::size_t>(count);
   std::vector<std::uint64_t> ids(n);
   std::vector<std::uint64_t> keys(n);
-  if (!r.varints(ids.data(), n) || !r.varints(keys.data(), n)) return false;
+  if (!r.varints(ids.data(), n) || !r.varints(keys.data(), n)) return;
   v.batch = TupleBatch::from_columns(std::move(ids), std::move(keys));
-  return true;
 }
 
-void encode(Writer& w, const PartitionMap& v) {
-  w.varint(v.positions());
-  w.varint(v.size());
-  for (const PartitionMap::Entry& e : v.entries()) encode_entry(w, e);
+void fields(Encoder& ar, const PartitionMap& v) {
+  ar.varint(v.positions());
+  ar.list(v.entries(), 4, [&](const auto& e) { fields(ar, e); });
 }
 
-bool decode(Reader& r, PartitionMap& v) {
-  const std::uint64_t positions = r.varint();
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 4)) return false;
+void fields(Decoder& ar, PartitionMap& v) {
+  std::uint64_t positions = 0;
   std::vector<PartitionMap::Entry> entries;
-  entries.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PartitionMap::Entry e;
-    if (!decode_entry(r, e)) return false;
-    entries.push_back(std::move(e));
-  }
+  ar.varint(positions);
+  ar.list(entries, 4, [&](auto& e) { fields(ar, e); });
+  if (!ar.ok()) return;
   // Re-validate PartitionMap::check()'s invariants here, where a violation
   // is a decode error rather than the abort from_entries() would raise.
-  if (entries.empty() || entries.front().range.lo != 0 ||
-      entries.back().range.hi != positions) {
-    r.fail();
-    return false;
+  bool valid = !entries.empty() && entries.front().range.lo == 0 &&
+               entries.back().range.hi == positions;
+  for (std::size_t i = 0; valid && i < entries.size(); ++i) {
+    valid = !entries[i].range.empty() && !entries[i].owners.empty() &&
+            (i + 1 == entries.size() ||
+             entries[i].range.hi == entries[i + 1].range.lo);
   }
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].range.empty() || entries[i].owners.empty() ||
-        (i + 1 < entries.size() &&
-         entries[i].range.hi != entries[i + 1].range.lo)) {
-      r.fail();
-      return false;
-    }
-  }
-  v = PartitionMap::from_entries(std::move(entries), positions);
-  return true;
+  ar.require(valid);
+  if (valid) v = PartitionMap::from_entries(std::move(entries), positions);
 }
 
-void encode(Writer& w, const BinnedHistogram& v) {
+void fields(Encoder& ar, const BinnedHistogram& v) {
+  Writer& w = ar.writer();
   w.varint(v.lo());
   w.varint(v.hi());
   w.varint(v.bin_count());
   w.varints(v.weights().data(), v.bin_count());
 }
 
-bool decode(Reader& r, BinnedHistogram& v) {
+void fields(Decoder& ar, BinnedHistogram& v) {
+  Reader& r = ar.reader();
   const std::uint64_t lo = r.varint();
   const std::uint64_t hi = r.varint();
   const std::uint64_t bins = r.varint();
-  if (!r.ok()) return false;
+  if (!r.ok()) return;
   if (bins == 0) {
     // Only a default-constructed (never-initialized) histogram has no bins.
-    if (lo != 0 || hi != 0) {
-      r.fail();
-      return false;
-    }
+    ar.require(lo == 0 && hi == 0);
     v = BinnedHistogram{};
-    return true;
+    return;
   }
   // The constructor clamps bins to the range width, so a legitimate encoding
   // always satisfies bins <= hi - lo; reconstructing with the encoded count
   // then reproduces the exact geometry (width = span / bins).
-  if (hi <= lo || bins > hi - lo || !r.can_hold(bins, 1)) {
-    r.fail();
-    return false;
-  }
+  ar.require(hi > lo && bins <= hi - lo);
+  if (!r.can_hold(bins, 1)) return;
   std::vector<std::uint64_t> weights(static_cast<std::size_t>(bins));
-  if (!r.varints(weights.data(), weights.size())) return false;
+  if (!r.varints(weights.data(), weights.size())) return;
   v = BinnedHistogram(lo, hi, std::move(weights));
-  return true;
 }
 
-void encode(Writer& w, const NodeMetrics& v) {
-  w.zigzag(v.actor);
-  w.zigzag(v.node);
-  w.varint(v.build_tuples);
-  w.varint(v.probe_tuples);
-  w.varint(v.matches);
-  w.varint(v.chunks_received);
-  w.varint(v.chunks_forwarded);
-  w.varint(v.max_overshoot_bytes);
-  w.varint(v.spilled_build_tuples);
-  w.varint(v.spilled_probe_tuples);
-  w.varint(v.spilled_partitions);
-  w.varint(v.fence_dropped_tuples);
+/// Actor-keyed accounting maps (chunk counts, and the snapshot's
+/// per-source maps of them): count, then (id, value) pairs in key order.
+/// std::map only produces strictly increasing keys, so decoding rejects
+/// anything else.
+template <class V>
+void fields(Encoder& ar, const std::map<ActorId, V>& m) {
+  ar.varint(m.size());
+  for (const auto& [id, value] : m) {
+    ar.id(id);
+    if constexpr (std::is_integral_v<V>) {
+      ar.varint(value);
+    } else {
+      fields(ar, value);
+    }
+  }
 }
 
-bool decode(Reader& r, NodeMetrics& v) {
-  if (!read_id(r, v.actor) || !read_id(r, v.node)) return false;
-  v.build_tuples = r.varint();
-  v.probe_tuples = r.varint();
-  v.matches = r.varint();
-  v.chunks_received = r.varint();
-  v.chunks_forwarded = r.varint();
-  v.max_overshoot_bytes = r.varint();
-  v.spilled_build_tuples = r.varint();
-  v.spilled_probe_tuples = r.varint();
-  v.spilled_partitions = r.varint();
-  v.fence_dropped_tuples = r.varint();
-  return r.ok();
-}
-
-// --- payload codecs ---
-
-void encode(Writer& w, const JoinInitPayload& v) {
-  w.u8(static_cast<std::uint8_t>(v.role));
-  encode(w, v.range);
-  w.varint(v.source_count);
-  w.varint(v.op_id);
-  w.varint(v.epoch);
-}
-
-bool decode(Reader& r, JoinInitPayload& v) {
-  if (!read_enum(r, v.role, 2) || !decode(r, v.range)) return false;
-  if (!read_u32(r, v.source_count)) return false;
-  v.op_id = r.varint();
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const StartBuildPayload& v) {
-  encode(w, v.map);
-  w.varint(v.epoch);
-}
-
-bool decode(Reader& r, StartBuildPayload& v) {
-  if (!decode(r, v.map)) return false;
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const ChunkPayload& v) {
-  encode(w, v.chunk);
-  w.u8(v.forwarded ? 1 : 0);
-  w.varint(v.epoch);
-}
-
-bool decode(Reader& r, ChunkPayload& v) {
-  if (!decode(r, v.chunk) || !read_bool(r, v.forwarded)) return false;
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const ForwardEndPayload& v) { w.varint(v.op_id); }
-
-bool decode(Reader& r, ForwardEndPayload& v) {
-  v.op_id = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const MemoryFullPayload& v) {
-  w.varint(v.footprint_bytes);
-  w.varint(v.budget_bytes);
-}
-
-bool decode(Reader& r, MemoryFullPayload& v) {
-  v.footprint_bytes = r.varint();
-  v.budget_bytes = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const SplitRequestPayload& v) {
-  w.varint(v.op_id);
-  encode(w, v.moved);
-  w.zigzag(v.target);
-}
-
-bool decode(Reader& r, SplitRequestPayload& v) {
-  v.op_id = r.varint();
-  return decode(r, v.moved) && read_id(r, v.target);
-}
-
-void encode(Writer& w, const HandoffStartPayload& v) {
-  w.varint(v.op_id);
-  w.zigzag(v.target);
-}
-
-bool decode(Reader& r, HandoffStartPayload& v) {
-  v.op_id = r.varint();
-  return read_id(r, v.target);
-}
-
-void encode(Writer& w, const OpCompletePayload& v) {
-  w.varint(v.op_id);
-  w.varint(v.tuples_received);
-}
-
-bool decode(Reader& r, OpCompletePayload& v) {
-  v.op_id = r.varint();
-  v.tuples_received = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const MapUpdatePayload& v) {
-  w.varint(v.version);
-  encode(w, v.map);
-}
-
-bool decode(Reader& r, MapUpdatePayload& v) {
-  v.version = r.varint();
-  return decode(r, v.map);
-}
-
-void encode(Writer& w, const SourceDonePayload& v) {
-  w.u8(static_cast<std::uint8_t>(v.rel));
-  w.varint(v.chunks_sent);
-  w.varint(v.tuples_sent);
-  encode_chunk_map(w, v.chunks_to);
-}
-
-bool decode(Reader& r, SourceDonePayload& v) {
-  if (!read_enum(r, v.rel, 1)) return false;
-  v.chunks_sent = r.varint();
-  v.tuples_sent = r.varint();
-  return decode_chunk_map(r, v.chunks_to);
-}
-
-void encode(Writer& w, const SourceProgressPayload& v) {
-  w.u8(static_cast<std::uint8_t>(v.rel));
-  w.varint(v.tuples_sent);
-}
-
-bool decode(Reader& r, SourceProgressPayload& v) {
-  if (!read_enum(r, v.rel, 1)) return false;
-  v.tuples_sent = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const DrainProbePayload& v) { w.varint(v.epoch); }
-
-bool decode(Reader& r, DrainProbePayload& v) {
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const DrainAckPayload& v) {
-  w.varint(v.epoch);
-  w.varint(v.data_chunks_received);
-  w.varint(v.data_chunks_forwarded);
-  encode_chunk_map(w, v.received_from);
-  encode_chunk_map(w, v.forwarded_to);
-}
-
-bool decode(Reader& r, DrainAckPayload& v) {
-  v.epoch = r.varint();
-  v.data_chunks_received = r.varint();
-  v.data_chunks_forwarded = r.varint();
-  return decode_chunk_map(r, v.received_from) &&
-         decode_chunk_map(r, v.forwarded_to);
-}
-
-void encode(Writer& w, const StartProbePayload& v) {
-  encode(w, v.map);
-  w.varint(v.epoch);
-}
-
-bool decode(Reader& r, StartProbePayload& v) {
-  if (!decode(r, v.map)) return false;
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const HistogramRequestPayload& v) {
-  w.varint(v.set_id);
-  w.varint(v.bins);
-  w.varint(v.round);
-}
-
-bool decode(Reader& r, HistogramRequestPayload& v) {
-  v.set_id = r.varint();
-  const std::uint64_t bins = r.varint();
-  if (bins > std::numeric_limits<std::size_t>::max()) r.fail();
-  v.bins = static_cast<std::size_t>(bins);
-  return read_u32(r, v.round);
-}
-
-void encode(Writer& w, const HistogramReplyPayload& v) {
-  w.varint(v.set_id);
-  encode(w, v.histogram);
-  w.varint(v.round);
-}
-
-bool decode(Reader& r, HistogramReplyPayload& v) {
-  v.set_id = r.varint();
-  return decode(r, v.histogram) && read_u32(r, v.round);
-}
-
-void encode(Writer& w, const ReshuffleMovePayload& v) {
-  // The plan is a re-cut of one replica set's range: valid entries need not
-  // start at position 0, so this is a raw entry list, not a PartitionMap.
-  w.varint(v.plan.size());
-  for (const PartitionMap::Entry& e : v.plan) encode_entry(w, e);
-  w.varint(v.round);
-}
-
-bool decode(Reader& r, ReshuffleMovePayload& v) {
+template <class V>
+void fields(Decoder& ar, std::map<ActorId, V>& m) {
+  Reader& r = ar.reader();
   const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 4)) return false;
-  v.plan.clear();
-  v.plan.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PartitionMap::Entry e;
-    if (!decode_entry(r, e)) return false;
-    v.plan.push_back(std::move(e));
-  }
-  return read_u32(r, v.round);
-}
-
-void encode(Writer& w, const ReshuffleDonePayload& v) { w.varint(v.round); }
-
-bool decode(Reader& r, ReshuffleDonePayload& v) {
-  return read_u32(r, v.round);
-}
-
-void encode(Writer& w, const NodeReportPayload& v) {
-  encode(w, v.metrics);
-  w.u64(v.checksum);
-  w.varint(v.result_rows);
-}
-
-bool decode(Reader& r, NodeReportPayload& v) {
-  if (!decode(r, v.metrics)) return false;
-  v.checksum = r.u64();
-  v.result_rows = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const ResultChunkPayload& v) {
-  encode(w, v.chunk);
-  w.u8(v.first ? 1 : 0);
-  w.varint(v.total);
-}
-
-bool decode(Reader& r, ResultChunkPayload& v) {
-  if (!decode(r, v.chunk)) return false;
-  if (!read_bool(r, v.first)) return false;
-  v.total = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const RecoveryFencePayload& v) {
-  w.varint(v.epoch);
-  encode_ranges(w, v.lost);
-}
-
-bool decode(Reader& r, RecoveryFencePayload& v) {
-  v.epoch = r.varint();
-  return decode_ranges(r, v.lost);
-}
-
-void encode(Writer& w, const RangeResetPayload& v) {
-  w.varint(v.epoch);
-  encode_ranges(w, v.discard);
-  w.u8(v.zero_probe_results ? 1 : 0);
-  w.u8(v.new_range.has_value() ? 1 : 0);
-  if (v.new_range) encode(w, *v.new_range);
-  w.u8(v.retired ? 1 : 0);
-}
-
-bool decode(Reader& r, RangeResetPayload& v) {
-  v.epoch = r.varint();
-  if (!decode_ranges(r, v.discard) || !read_bool(r, v.zero_probe_results)) {
-    return false;
-  }
-  bool has_range = false;
-  if (!read_bool(r, has_range)) return false;
-  if (has_range) {
-    PosRange range;
-    if (!decode(r, range)) return false;
-    v.new_range = range;
-  } else {
-    v.new_range.reset();
-  }
-  return read_bool(r, v.retired);
-}
-
-void encode(Writer& w, const RangeResetAckPayload& v) { w.varint(v.epoch); }
-
-bool decode(Reader& r, RangeResetAckPayload& v) {
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const ReplayRequestPayload& v) {
-  w.varint(v.epoch);
-  w.u8(static_cast<std::uint8_t>(v.rel));
-  encode_ranges(w, v.ranges);
-  w.u8(v.pause_after ? 1 : 0);
-}
-
-bool decode(Reader& r, ReplayRequestPayload& v) {
-  v.epoch = r.varint();
-  return read_enum(r, v.rel, 1) && decode_ranges(r, v.ranges) &&
-         read_bool(r, v.pause_after);
-}
-
-void encode(Writer& w, const ReplayDonePayload& v) {
-  w.varint(v.epoch);
-  w.u8(static_cast<std::uint8_t>(v.rel));
-  w.varint(v.tuples_replayed);
-  encode_chunk_map(w, v.chunks_to);
-  w.varint(v.chunks_sent_total);
-}
-
-bool decode(Reader& r, ReplayDonePayload& v) {
-  v.epoch = r.varint();
-  if (!read_enum(r, v.rel, 1)) return false;
-  v.tuples_replayed = r.varint();
-  if (!decode_chunk_map(r, v.chunks_to)) return false;
-  v.chunks_sent_total = r.varint();
-  return r.ok();
-}
-
-namespace {
-
-/// Nested per-source per-destination chunk accounting (snapshot only).
-void encode_chunks_to(
-    Writer& w, const std::map<ActorId, std::map<ActorId, std::uint64_t>>& m) {
-  w.varint(m.size());
-  for (const auto& [source, dests] : m) {
-    w.zigzag(source);
-    encode_chunk_map(w, dests);
-  }
-}
-
-bool decode_chunks_to(
-    Reader& r, std::map<ActorId, std::map<ActorId, std::uint64_t>>& m) {
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 2)) return false;
   m.clear();
+  if (!r.can_hold(count, 2)) return;
   ActorId prev = kInvalidActor;
   for (std::uint64_t i = 0; i < count; ++i) {
     ActorId id = kInvalidActor;
-    if (!read_id(r, id)) return false;
-    if (i > 0 && id <= prev) {
-      r.fail();
-      return false;
-    }
+    ar.id(id);
+    ar.require(i == 0 || id > prev);
     prev = id;
-    std::map<ActorId, std::uint64_t> dests;
-    if (!decode_chunk_map(r, dests)) return false;
-    m.emplace(id, std::move(dests));
+    V value{};
+    if constexpr (std::is_integral_v<V>) {
+      ar.varint(value);
+    } else {
+      fields(ar, value);
+    }
+    if (!r.ok()) return;
+    m.emplace(id, std::move(value));
   }
-  return true;
+}
+
+// --- payload field lists, one per struct in core/messages.hpp ---
+
+void fields(auto& ar, Is<NodeMetrics> auto& v) {
+  ar.id(v.actor);
+  ar.id(v.node);
+  ar.varint(v.build_tuples);
+  ar.varint(v.probe_tuples);
+  ar.varint(v.matches);
+  ar.varint(v.chunks_received);
+  ar.varint(v.chunks_forwarded);
+  ar.varint(v.max_overshoot_bytes);
+  ar.varint(v.spilled_build_tuples);
+  ar.varint(v.spilled_probe_tuples);
+  ar.varint(v.spilled_partitions);
+  ar.varint(v.fence_dropped_tuples);
+}
+
+void fields(auto& ar, Is<JoinInitPayload> auto& v) {
+  ar.code(v.role, 2);
+  fields(ar, v.range);
+  ar.varint(v.source_count);
+  ar.varint(v.op_id);
+  ar.varint(v.epoch);
+}
+
+void fields(auto& ar, Is<StartBuildPayload> auto& v) {
+  fields(ar, v.map);
+  ar.varint(v.epoch);
+}
+
+void fields(auto& ar, Is<ChunkPayload> auto& v) {
+  fields(ar, v.chunk);
+  ar.flag(v.forwarded);
+  ar.varint(v.epoch);
+}
+
+void fields(auto& ar, Is<ForwardEndPayload> auto& v) { ar.varint(v.op_id); }
+
+void fields(auto& ar, Is<MemoryFullPayload> auto& v) {
+  ar.varint(v.footprint_bytes);
+  ar.varint(v.budget_bytes);
+}
+
+void fields(auto& ar, Is<SplitRequestPayload> auto& v) {
+  ar.varint(v.op_id);
+  fields(ar, v.moved);
+  ar.id(v.target);
+}
+
+void fields(auto& ar, Is<HandoffStartPayload> auto& v) {
+  ar.varint(v.op_id);
+  ar.id(v.target);
+}
+
+void fields(auto& ar, Is<OpCompletePayload> auto& v) {
+  ar.varint(v.op_id);
+  ar.varint(v.tuples_received);
+}
+
+void fields(auto& ar, Is<MapUpdatePayload> auto& v) {
+  ar.varint(v.version);
+  fields(ar, v.map);
+}
+
+void fields(auto& ar, Is<SourceDonePayload> auto& v) {
+  ar.code(v.rel, 1);
+  ar.varint(v.chunks_sent);
+  ar.varint(v.tuples_sent);
+  fields(ar, v.chunks_to);
+}
+
+void fields(auto& ar, Is<SourceProgressPayload> auto& v) {
+  ar.code(v.rel, 1);
+  ar.varint(v.tuples_sent);
+}
+
+void fields(auto& ar, Is<DrainProbePayload> auto& v) { ar.varint(v.epoch); }
+
+void fields(auto& ar, Is<DrainAckPayload> auto& v) {
+  ar.varint(v.epoch);
+  ar.varint(v.data_chunks_received);
+  ar.varint(v.data_chunks_forwarded);
+  fields(ar, v.received_from);
+  fields(ar, v.forwarded_to);
+}
+
+void fields(auto& ar, Is<StartProbePayload> auto& v) {
+  fields(ar, v.map);
+  ar.varint(v.epoch);
+}
+
+void fields(auto& ar, Is<HistogramRequestPayload> auto& v) {
+  ar.varint(v.set_id);
+  ar.varint(v.bins);
+  ar.varint(v.round);
+}
+
+void fields(auto& ar, Is<HistogramReplyPayload> auto& v) {
+  ar.varint(v.set_id);
+  fields(ar, v.histogram);
+  ar.varint(v.round);
+}
+
+void fields(auto& ar, Is<ReshuffleMovePayload> auto& v) {
+  // The plan is a re-cut of one replica set's range: valid entries need not
+  // start at position 0, so this is a raw entry list, not a PartitionMap.
+  ar.list(v.plan, 4, [&](auto& e) { fields(ar, e); });
+  ar.varint(v.round);
+}
+
+void fields(auto& ar, Is<ReshuffleDonePayload> auto& v) { ar.varint(v.round); }
+
+void fields(auto& ar, Is<NodeReportPayload> auto& v) {
+  fields(ar, v.metrics);
+  ar.u64(v.checksum);
+  ar.varint(v.result_rows);
+}
+
+void fields(auto& ar, Is<ResultChunkPayload> auto& v) {
+  fields(ar, v.chunk);
+  ar.flag(v.first);
+  ar.varint(v.total);
+}
+
+void fields(auto& ar, Is<RecoveryFencePayload> auto& v) {
+  ar.varint(v.epoch);
+  ar.list(v.lost, 2, [&](auto& range) { fields(ar, range); });
+}
+
+void fields(auto& ar, Is<RangeResetPayload> auto& v) {
+  ar.varint(v.epoch);
+  ar.list(v.discard, 2, [&](auto& range) { fields(ar, range); });
+  ar.flag(v.zero_probe_results);
+  ar.opt(v.new_range, [&](auto& range) { fields(ar, range); });
+  ar.flag(v.retired);
+}
+
+void fields(auto& ar, Is<RangeResetAckPayload> auto& v) { ar.varint(v.epoch); }
+
+void fields(auto& ar, Is<ReplayRequestPayload> auto& v) {
+  ar.varint(v.epoch);
+  ar.code(v.rel, 1);
+  ar.list(v.ranges, 2, [&](auto& range) { fields(ar, range); });
+  ar.flag(v.pause_after);
+}
+
+void fields(auto& ar, Is<ReplayDonePayload> auto& v) {
+  ar.varint(v.epoch);
+  ar.code(v.rel, 1);
+  ar.varint(v.tuples_replayed);
+  fields(ar, v.chunks_to);
+  ar.varint(v.chunks_sent_total);
 }
 
 /// The snapshot's metrics are the scheduler-accrued scalars only; the nodes
 /// vector and the join result are deliberately not carried (the promoted
 /// scheduler re-collects them with the final reports).
-void encode_run_metrics(Writer& w, const RunMetrics& v) {
-  w.f64(v.t_start);
-  w.f64(v.t_build_end);
-  w.f64(v.t_reshuffle_end);
-  w.f64(v.t_probe_end);
-  w.f64(v.t_complete);
-  w.f64(v.split_time);
-  w.f64(v.expand_time);
-  w.varint(v.initial_join_nodes);
-  w.varint(v.expansions);
-  w.varint(v.final_join_nodes);
-  w.u8(v.pool_exhausted ? 1 : 0);
-  w.varint(v.adaptive_splits);
-  w.varint(v.adaptive_replicas);
-  w.varint(v.source_build_chunks);
-  w.varint(v.source_probe_chunks);
-  w.varint(v.extra_build_chunks);
-  w.varint(v.failures_injected);
-  w.varint(v.failures_detected);
-  w.f64(v.detection_latency_total);
-  w.f64(v.detection_latency_max);
-  w.varint(v.false_positive_deaths);
-  w.varint(v.join_failures);
-  w.varint(v.source_failures);
-  w.varint(v.scheduler_failovers);
-  w.varint(v.recoveries);
-  w.f64(v.recovery_time_total);
-  w.varint(v.replayed_build_tuples);
-  w.varint(v.replayed_probe_tuples);
-  w.varint(v.build_tuples_total);
-  w.varint(v.probe_tuples_total);
+void fields(auto& ar, Is<RunMetrics> auto& v) {
+  ar.f64(v.t_start);
+  ar.f64(v.t_build_end);
+  ar.f64(v.t_reshuffle_end);
+  ar.f64(v.t_probe_end);
+  ar.f64(v.t_complete);
+  ar.f64(v.split_time);
+  ar.f64(v.expand_time);
+  ar.varint(v.initial_join_nodes);
+  ar.varint(v.expansions);
+  ar.varint(v.final_join_nodes);
+  ar.flag(v.pool_exhausted);
+  ar.varint(v.adaptive_splits);
+  ar.varint(v.adaptive_replicas);
+  ar.varint(v.source_build_chunks);
+  ar.varint(v.source_probe_chunks);
+  ar.varint(v.extra_build_chunks);
+  ar.varint(v.failures_injected);
+  ar.varint(v.failures_detected);
+  ar.f64(v.detection_latency_total);
+  ar.f64(v.detection_latency_max);
+  ar.varint(v.false_positive_deaths);
+  ar.varint(v.join_failures);
+  ar.varint(v.source_failures);
+  ar.varint(v.scheduler_failovers);
+  ar.varint(v.recoveries);
+  ar.f64(v.recovery_time_total);
+  ar.varint(v.replayed_build_tuples);
+  ar.varint(v.replayed_probe_tuples);
+  ar.varint(v.build_tuples_total);
+  ar.varint(v.probe_tuples_total);
 }
 
-bool decode_run_metrics(Reader& r, RunMetrics& v) {
-  v = RunMetrics{};
-  v.t_start = r.f64();
-  v.t_build_end = r.f64();
-  v.t_reshuffle_end = r.f64();
-  v.t_probe_end = r.f64();
-  v.t_complete = r.f64();
-  v.split_time = r.f64();
-  v.expand_time = r.f64();
-  if (!read_u32(r, v.initial_join_nodes) || !read_u32(r, v.expansions) ||
-      !read_u32(r, v.final_join_nodes) || !read_bool(r, v.pool_exhausted) ||
-      !read_u32(r, v.adaptive_splits) || !read_u32(r, v.adaptive_replicas)) {
-    return false;
-  }
-  v.source_build_chunks = r.varint();
-  v.source_probe_chunks = r.varint();
-  v.extra_build_chunks = r.varint();
-  if (!read_u32(r, v.failures_injected) || !read_u32(r, v.failures_detected)) {
-    return false;
-  }
-  v.detection_latency_total = r.f64();
-  v.detection_latency_max = r.f64();
-  if (!read_u32(r, v.false_positive_deaths) ||
-      !read_u32(r, v.join_failures) || !read_u32(r, v.source_failures) ||
-      !read_u32(r, v.scheduler_failovers) || !read_u32(r, v.recoveries)) {
-    return false;
-  }
-  v.recovery_time_total = r.f64();
-  v.replayed_build_tuples = r.varint();
-  v.replayed_probe_tuples = r.varint();
-  v.build_tuples_total = r.varint();
-  v.probe_tuples_total = r.varint();
-  return r.ok();
+void fields(auto& ar, Is<SchedulerSnapshotPayload> auto& v) {
+  ar.varint(v.generation);
+  ar.code(v.phase, 8);  // SchedulerActor phases kBuild..kDone
+  ar.flag(v.probe_recovery);
+  ar.varint(v.epoch);
+  ar.varint(v.map_version);
+  fields(ar, v.map);
+  const auto ids = [&](auto& list) {
+    ar.list(list, 1, [&](auto& id) { ar.id(id); });
+  };
+  ids(v.joins);
+  ids(v.sources);
+  ids(v.dead);
+  ids(v.spilled);
+  ids(v.pool_free);
+  ar.varint(v.reshuffle_round);
+  ar.varint(v.drain_epoch);
+  fields(ar, v.source_chunks_to);
+  fields(ar, v.metrics);
 }
 
-}  // namespace
-
-void encode(Writer& w, const SchedulerSnapshotPayload& v) {
-  w.varint(v.generation);
-  w.u8(v.phase);
-  w.u8(v.probe_recovery ? 1 : 0);
-  w.varint(v.epoch);
-  w.varint(v.map_version);
-  encode(w, v.map);
-  encode_owners(w, v.joins);
-  encode_owners(w, v.sources);
-  encode_owners(w, v.dead);
-  encode_owners(w, v.spilled);
-  encode_owners(w, v.pool_free);  // NodeId shares ActorId's representation
-  w.varint(v.reshuffle_round);
-  w.varint(v.drain_epoch);
-  encode_chunks_to(w, v.source_chunks_to);
-  encode_run_metrics(w, v.metrics);
+void fields(auto& ar, Is<SchedulerHandoffPayload> auto& v) {
+  ar.varint(v.generation);
+  ar.varint(v.epoch);
 }
 
-bool decode(Reader& r, SchedulerSnapshotPayload& v) {
-  v.generation = r.varint();
-  // Phase discriminants: kBuild..kDone (9 values).
-  const std::uint8_t phase = r.u8();
-  if (phase > 8) {
-    r.fail();
-    return false;
-  }
-  v.phase = phase;
-  if (!read_bool(r, v.probe_recovery)) return false;
-  v.epoch = r.varint();
-  v.map_version = r.varint();
-  if (!decode(r, v.map)) return false;
-  if (!decode_owners(r, v.joins) || !decode_owners(r, v.sources) ||
-      !decode_owners(r, v.dead) || !decode_owners(r, v.spilled) ||
-      !decode_owners(r, v.pool_free)) {
-    return false;
-  }
-  if (!read_u32(r, v.reshuffle_round)) return false;
-  v.drain_epoch = r.varint();
-  return decode_chunks_to(r, v.source_chunks_to) &&
-         decode_run_metrics(r, v.metrics);
+void fields(auto& ar, Is<SchedulerHandoffAckPayload> auto& v) {
+  ar.varint(v.generation);
+  ar.code(v.done_mask, 15);  // bits 0/1: R/S done; bits 2/3: R/S started
+  ar.varint(v.build_tuples);
+  ar.varint(v.probe_tuples);
+  ar.varint(v.build_chunks);
+  ar.varint(v.probe_chunks);
+  fields(ar, v.chunks_to);
 }
 
-void encode(Writer& w, const SchedulerHandoffPayload& v) {
-  w.varint(v.generation);
-  w.varint(v.epoch);
-}
-
-bool decode(Reader& r, SchedulerHandoffPayload& v) {
-  v.generation = r.varint();
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const SchedulerHandoffAckPayload& v) {
-  w.varint(v.generation);
-  w.u8(v.done_mask);
-  w.varint(v.build_tuples);
-  w.varint(v.probe_tuples);
-  w.varint(v.build_chunks);
-  w.varint(v.probe_chunks);
-  encode_chunk_map(w, v.chunks_to);
-}
-
-bool decode(Reader& r, SchedulerHandoffAckPayload& v) {
-  v.generation = r.varint();
-  const std::uint8_t mask = r.u8();
-  if (mask > 15) {  // bits 0/1: R/S done; bits 2/3: R/S stream started
-    r.fail();
-    return false;
-  }
-  v.done_mask = mask;
-  v.build_tuples = r.varint();
-  v.probe_tuples = r.varint();
-  v.build_chunks = r.varint();
-  v.probe_chunks = r.varint();
-  return decode_chunk_map(r, v.chunks_to);
-}
+void encode(Writer& w, const BinnedHistogram& v) { write_fields(w, v); }
+bool decode(Reader& r, BinnedHistogram& v) { return read_fields(r, v); }
+void encode(Writer& w, const ChunkPayload& v) { write_fields(w, v); }
+bool decode(Reader& r, ChunkPayload& v) { return read_fields(r, v); }
 
 // --- message codec ---
 
-bool known_tag(int tag) {
-  switch (static_cast<Tag>(tag)) {
-    case Tag::kJoinInit:
-    case Tag::kStartBuild:
-    case Tag::kGenSlice:
-    case Tag::kDataChunk:
-    case Tag::kForwardEnd:
-    case Tag::kMemoryFull:
-    case Tag::kSplitRequest:
-    case Tag::kHandoffStart:
-    case Tag::kOpComplete:
-    case Tag::kRelief:
-    case Tag::kSwitchToSpill:
-    case Tag::kMapUpdate:
-    case Tag::kSourceDone:
-    case Tag::kDrainProbe:
-    case Tag::kDrainAck:
-    case Tag::kBuildComplete:
-    case Tag::kStartProbe:
-    case Tag::kSourceProgress:
-    case Tag::kHistogramRequest:
-    case Tag::kHistogramReply:
-    case Tag::kReshuffleMove:
-    case Tag::kReshuffleDone:
-    case Tag::kReportRequest:
-    case Tag::kNodeReport:
-    case Tag::kResultChunk:
-    case Tag::kPing:
-    case Tag::kPong:
-    case Tag::kHeartbeatTick:
-    case Tag::kRecoveryFence:
-    case Tag::kRangeReset:
-    case Tag::kRangeResetAck:
-    case Tag::kReplayRequest:
-    case Tag::kReplayDone:
-    case Tag::kSchedulerSnapshot:
-    case Tag::kSchedulerHandoff:
-    case Tag::kSchedulerHandoffAck:
-      return true;
-  }
-  return false;
-}
-
-bool tag_has_payload(Tag tag) {
-  switch (tag) {
-    case Tag::kGenSlice:
-    case Tag::kRelief:
-    case Tag::kSwitchToSpill:
-    case Tag::kBuildComplete:
-    case Tag::kReportRequest:
-    case Tag::kPing:
-    case Tag::kPong:
-    case Tag::kHeartbeatTick:
-      return false;
-    default:
-      return true;
-  }
-}
-
-void encode_message(const Message& msg, Writer& w) {
-  EHJA_CHECK_MSG(known_tag(msg.tag), "encoding message with unknown tag");
-  const Tag tag = static_cast<Tag>(msg.tag);
-  EHJA_CHECK_MSG(msg.has_payload() == tag_has_payload(tag),
-                 "message payload presence does not match its tag");
-  w.zigzag(msg.tag);
-  w.zigzag(msg.from);
-  w.varint(msg.wire_bytes);
-  switch (tag) {
-    case Tag::kJoinInit:
-      encode(w, msg.as<JoinInitPayload>());
-      break;
-    case Tag::kStartBuild:
-      encode(w, msg.as<StartBuildPayload>());
-      break;
-    case Tag::kDataChunk:
-      encode(w, msg.as<ChunkPayload>());
-      break;
-    case Tag::kForwardEnd:
-      encode(w, msg.as<ForwardEndPayload>());
-      break;
-    case Tag::kMemoryFull:
-      encode(w, msg.as<MemoryFullPayload>());
-      break;
-    case Tag::kSplitRequest:
-      encode(w, msg.as<SplitRequestPayload>());
-      break;
-    case Tag::kHandoffStart:
-      encode(w, msg.as<HandoffStartPayload>());
-      break;
-    case Tag::kOpComplete:
-      encode(w, msg.as<OpCompletePayload>());
-      break;
-    case Tag::kMapUpdate:
-      encode(w, msg.as<MapUpdatePayload>());
-      break;
-    case Tag::kSourceDone:
-      encode(w, msg.as<SourceDonePayload>());
-      break;
-    case Tag::kDrainProbe:
-      encode(w, msg.as<DrainProbePayload>());
-      break;
-    case Tag::kDrainAck:
-      encode(w, msg.as<DrainAckPayload>());
-      break;
-    case Tag::kStartProbe:
-      encode(w, msg.as<StartProbePayload>());
-      break;
-    case Tag::kSourceProgress:
-      encode(w, msg.as<SourceProgressPayload>());
-      break;
-    case Tag::kHistogramRequest:
-      encode(w, msg.as<HistogramRequestPayload>());
-      break;
-    case Tag::kHistogramReply:
-      encode(w, msg.as<HistogramReplyPayload>());
-      break;
-    case Tag::kReshuffleMove:
-      encode(w, msg.as<ReshuffleMovePayload>());
-      break;
-    case Tag::kReshuffleDone:
-      encode(w, msg.as<ReshuffleDonePayload>());
-      break;
-    case Tag::kNodeReport:
-      encode(w, msg.as<NodeReportPayload>());
-      break;
-    case Tag::kResultChunk:
-      encode(w, msg.as<ResultChunkPayload>());
-      break;
-    case Tag::kRecoveryFence:
-      encode(w, msg.as<RecoveryFencePayload>());
-      break;
-    case Tag::kRangeReset:
-      encode(w, msg.as<RangeResetPayload>());
-      break;
-    case Tag::kRangeResetAck:
-      encode(w, msg.as<RangeResetAckPayload>());
-      break;
-    case Tag::kReplayRequest:
-      encode(w, msg.as<ReplayRequestPayload>());
-      break;
-    case Tag::kReplayDone:
-      encode(w, msg.as<ReplayDonePayload>());
-      break;
-    case Tag::kSchedulerSnapshot:
-      encode(w, msg.as<SchedulerSnapshotPayload>());
-      break;
-    case Tag::kSchedulerHandoff:
-      encode(w, msg.as<SchedulerHandoffPayload>());
-      break;
-    case Tag::kSchedulerHandoffAck:
-      encode(w, msg.as<SchedulerHandoffAckPayload>());
-      break;
-    case Tag::kGenSlice:
-    case Tag::kRelief:
-    case Tag::kSwitchToSpill:
-    case Tag::kBuildComplete:
-    case Tag::kReportRequest:
-    case Tag::kPing:
-    case Tag::kPong:
-    case Tag::kHeartbeatTick:
-      break;  // signals carry no payload
-  }
-}
-
 namespace {
 
-/// Decode a payload of type T and wrap it into a Message.
-template <typename T>
-bool decode_payload_message(Reader& r, Tag tag, std::size_t wire_bytes,
-                            Message& out) {
-  T payload;
-  if (!decode(r, payload)) return false;
-  out = make_message(tag, std::move(payload), wire_bytes);
+/// How messages with one tag cross the wire.  Signals carry no payload
+/// (null encode/decode).
+struct TagCodec {
+  Tag tag{};
+  bool known = false;
+  void (*encode)(Writer&, const Message&) = nullptr;
+  bool (*decode)(Reader&, Message&) = nullptr;
+};
+
+template <class P>
+void encode_payload(Writer& w, const Message& msg) {
+  write_fields(w, msg.as<P>());
+}
+
+template <class P>
+bool decode_payload(Reader& r, Message& msg) {
+  P payload;
+  if (!read_fields(r, payload)) return false;
+  msg.payload = std::make_shared<const std::any>(std::move(payload));
   return true;
+}
+
+template <class P>
+constexpr TagCodec payload(Tag tag) {
+  return {tag, true, &encode_payload<P>, &decode_payload<P>};
+}
+
+constexpr TagCodec signal(Tag tag) { return {tag, true}; }
+
+/// The protocol vocabulary: every tag with the payload type Message::as<T>()
+/// expects.  known_tag, encode_message and decode_message all read it.
+constexpr TagCodec kVocabulary[] = {
+    payload<JoinInitPayload>(Tag::kJoinInit),
+    payload<StartBuildPayload>(Tag::kStartBuild),
+    signal(Tag::kGenSlice),
+    payload<ChunkPayload>(Tag::kDataChunk),
+    payload<ForwardEndPayload>(Tag::kForwardEnd),
+    payload<MemoryFullPayload>(Tag::kMemoryFull),
+    payload<SplitRequestPayload>(Tag::kSplitRequest),
+    payload<HandoffStartPayload>(Tag::kHandoffStart),
+    payload<OpCompletePayload>(Tag::kOpComplete),
+    signal(Tag::kRelief),
+    signal(Tag::kSwitchToSpill),
+    payload<MapUpdatePayload>(Tag::kMapUpdate),
+    payload<SourceDonePayload>(Tag::kSourceDone),
+    payload<DrainProbePayload>(Tag::kDrainProbe),
+    payload<DrainAckPayload>(Tag::kDrainAck),
+    signal(Tag::kBuildComplete),
+    payload<StartProbePayload>(Tag::kStartProbe),
+    payload<SourceProgressPayload>(Tag::kSourceProgress),
+    payload<HistogramRequestPayload>(Tag::kHistogramRequest),
+    payload<HistogramReplyPayload>(Tag::kHistogramReply),
+    payload<ReshuffleMovePayload>(Tag::kReshuffleMove),
+    payload<ReshuffleDonePayload>(Tag::kReshuffleDone),
+    signal(Tag::kReportRequest),
+    payload<NodeReportPayload>(Tag::kNodeReport),
+    payload<ResultChunkPayload>(Tag::kResultChunk),
+    signal(Tag::kPing),
+    signal(Tag::kPong),
+    signal(Tag::kHeartbeatTick),
+    payload<RecoveryFencePayload>(Tag::kRecoveryFence),
+    payload<RangeResetPayload>(Tag::kRangeReset),
+    payload<RangeResetAckPayload>(Tag::kRangeResetAck),
+    payload<ReplayRequestPayload>(Tag::kReplayRequest),
+    payload<ReplayDonePayload>(Tag::kReplayDone),
+    payload<SchedulerSnapshotPayload>(Tag::kSchedulerSnapshot),
+    payload<SchedulerHandoffPayload>(Tag::kSchedulerHandoff),
+    payload<SchedulerHandoffAckPayload>(Tag::kSchedulerHandoffAck),
+};
+
+/// kVocabulary indexed by tag value (every tag is below 128).
+constexpr auto kCodecs = [] {
+  std::array<TagCodec, 128> slots{};
+  for (const TagCodec& codec : kVocabulary) {
+    slots[static_cast<std::size_t>(codec.tag)] = codec;
+  }
+  return slots;
+}();
+
+const TagCodec* find_codec(int tag) {
+  if (tag < 0 || static_cast<std::size_t>(tag) >= kCodecs.size() ||
+      !kCodecs[static_cast<std::size_t>(tag)].known) {
+    return nullptr;
+  }
+  return &kCodecs[static_cast<std::size_t>(tag)];
+}
+
+void header_fields(auto& ar, Is<Message> auto& msg) {
+  ar.id(msg.tag);
+  ar.id(msg.from);
+  ar.varint(msg.wire_bytes);
 }
 
 }  // namespace
 
+bool known_tag(int tag) { return find_codec(tag) != nullptr; }
+
+void encode_message(const Message& msg, Writer& w) {
+  const TagCodec* codec = find_codec(msg.tag);
+  EHJA_CHECK_MSG(codec != nullptr, "encoding message with unknown tag");
+  EHJA_CHECK_MSG(msg.has_payload() == (codec->encode != nullptr),
+                 "message payload presence does not match its tag");
+  Encoder ar(w);
+  header_fields(ar, msg);
+  if (codec->encode != nullptr) codec->encode(w, msg);
+}
+
 bool decode_message(Reader& r, Message& out) {
-  const std::int64_t raw_tag = r.zigzag();
-  if (!r.ok() || raw_tag < std::numeric_limits<int>::min() ||
-      raw_tag > std::numeric_limits<int>::max() ||
-      !known_tag(static_cast<int>(raw_tag))) {
-    r.fail();
+  Decoder ar(r);
+  Message msg;
+  header_fields(ar, msg);
+  const TagCodec* codec = r.ok() ? find_codec(msg.tag) : nullptr;
+  ar.require(codec != nullptr);
+  if (!r.ok() || (codec->decode != nullptr && !codec->decode(r, msg))) {
     return false;
   }
-  const Tag tag = static_cast<Tag>(raw_tag);
-  ActorId from = kInvalidActor;
-  if (!read_id(r, from)) return false;
-  const std::uint64_t wire_bytes = r.varint();
-  if (!r.ok() || wire_bytes > std::numeric_limits<std::size_t>::max()) {
-    r.fail();
-    return false;
-  }
-  const std::size_t bytes = static_cast<std::size_t>(wire_bytes);
-  bool decoded = false;
-  switch (tag) {
-    case Tag::kJoinInit:
-      decoded = decode_payload_message<JoinInitPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kStartBuild:
-      decoded = decode_payload_message<StartBuildPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kDataChunk:
-      decoded = decode_payload_message<ChunkPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kForwardEnd:
-      decoded = decode_payload_message<ForwardEndPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kMemoryFull:
-      decoded = decode_payload_message<MemoryFullPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kSplitRequest:
-      decoded =
-          decode_payload_message<SplitRequestPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kHandoffStart:
-      decoded =
-          decode_payload_message<HandoffStartPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kOpComplete:
-      decoded = decode_payload_message<OpCompletePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kMapUpdate:
-      decoded = decode_payload_message<MapUpdatePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kSourceDone:
-      decoded = decode_payload_message<SourceDonePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kDrainProbe:
-      decoded = decode_payload_message<DrainProbePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kDrainAck:
-      decoded = decode_payload_message<DrainAckPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kStartProbe:
-      decoded = decode_payload_message<StartProbePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kSourceProgress:
-      decoded =
-          decode_payload_message<SourceProgressPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kHistogramRequest:
-      decoded =
-          decode_payload_message<HistogramRequestPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kHistogramReply:
-      decoded =
-          decode_payload_message<HistogramReplyPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kReshuffleMove:
-      decoded =
-          decode_payload_message<ReshuffleMovePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kReshuffleDone:
-      decoded =
-          decode_payload_message<ReshuffleDonePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kNodeReport:
-      decoded = decode_payload_message<NodeReportPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kResultChunk:
-      decoded = decode_payload_message<ResultChunkPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kRecoveryFence:
-      decoded =
-          decode_payload_message<RecoveryFencePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kRangeReset:
-      decoded = decode_payload_message<RangeResetPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kRangeResetAck:
-      decoded =
-          decode_payload_message<RangeResetAckPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kReplayRequest:
-      decoded =
-          decode_payload_message<ReplayRequestPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kReplayDone:
-      decoded = decode_payload_message<ReplayDonePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kSchedulerSnapshot:
-      decoded =
-          decode_payload_message<SchedulerSnapshotPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kSchedulerHandoff:
-      decoded =
-          decode_payload_message<SchedulerHandoffPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kSchedulerHandoffAck:
-      decoded = decode_payload_message<SchedulerHandoffAckPayload>(r, tag,
-                                                                  bytes, out);
-      break;
-    case Tag::kGenSlice:
-    case Tag::kRelief:
-    case Tag::kSwitchToSpill:
-    case Tag::kBuildComplete:
-    case Tag::kReportRequest:
-    case Tag::kPing:
-    case Tag::kPong:
-    case Tag::kHeartbeatTick:
-      out = make_signal(tag, bytes);
-      decoded = true;
-      break;
-  }
-  if (!decoded) return false;
-  out.from = from;
-  return r.ok();
+  out = std::move(msg);
+  return true;
 }
 
 // --- config codec ---
 
-namespace {
-
-void encode_dist(Writer& w, const DistributionSpec& v) {
-  w.u8(static_cast<std::uint8_t>(v.kind));
-  w.f64(v.mean);
-  w.f64(v.sigma);
-  w.f64(v.zipf_s);
-  w.varint(v.domain);
+void fields(auto& ar, Is<DistributionSpec> auto& v) {
+  ar.code(v.kind, 3);
+  ar.f64(v.mean);
+  ar.f64(v.sigma);
+  ar.f64(v.zipf_s);
+  ar.varint(v.domain);
 }
 
-bool decode_dist(Reader& r, DistributionSpec& v) {
-  if (!read_enum(r, v.kind, 3)) return false;
-  v.mean = r.f64();
-  v.sigma = r.f64();
-  v.zipf_s = r.f64();
-  v.domain = r.varint();
-  return r.ok();
-}
-
-void encode_relation(Writer& w, const RelationSpec& v) {
-  w.u8(static_cast<std::uint8_t>(v.tag));
-  w.varint(v.tuple_count);
-  w.varint(v.schema.tuple_bytes);
-  encode_dist(w, v.dist);
-  // v6: materialized backing rows (pipeline intermediates) ride inside the
-  // relation spec, columnar (ids then keys) with the source checksum.
-  w.u8(v.data ? 1 : 0);
-  if (v.data) {
-    w.u64(v.data->source_checksum);
-    for (const Tuple& t : v.data->rows) w.varint(t.id);
-    for (const Tuple& t : v.data->rows) w.varint(t.key);
-  }
-}
-
-bool decode_relation(Reader& r, RelationSpec& v) {
-  if (!read_enum(r, v.tag, 1)) return false;
-  v.tuple_count = r.varint();
-  if (!read_u32(r, v.schema.tuple_bytes)) return false;
+void relation_scalars(auto& ar, Is<RelationSpec> auto& v) {
+  ar.code(v.tag, 1);
+  ar.varint(v.tuple_count);
+  ar.varint(v.schema.tuple_bytes);
   // Schema::payload_bytes() asserts tuple_bytes >= 16; enforce it here so a
   // corrupt config is a decode error, not a later abort.
-  if (v.schema.tuple_bytes < 16) {
-    r.fail();
-    return false;
-  }
-  if (!decode_dist(r, v.dist)) return false;
+  ar.require(v.schema.tuple_bytes >= 16);
+  fields(ar, v.dist);
+}
+
+// v6: materialized backing rows (pipeline intermediates) ride inside the
+// relation spec, columnar (ids then keys) after the source checksum; the
+// row count is tuple_count.
+void fields(Encoder& ar, const RelationSpec& v) {
+  relation_scalars(ar, v);
+  ar.flag(v.data != nullptr);
+  if (!v.data) return;
+  Writer& w = ar.writer();
+  w.u64(v.data->source_checksum);
+  for (const Tuple& t : v.data->rows) w.varint(t.id);
+  for (const Tuple& t : v.data->rows) w.varint(t.key);
+}
+
+void fields(Decoder& ar, RelationSpec& v) {
+  relation_scalars(ar, v);
   bool has_data = false;
-  if (!read_bool(r, has_data)) return false;
-  if (!has_data) {
-    v.data.reset();
-    return true;
-  }
-  if (!r.can_hold(v.tuple_count, 2)) return false;
+  ar.flag(has_data);
+  v.data.reset();
+  Reader& r = ar.reader();
+  if (!has_data || !r.can_hold(v.tuple_count, 2)) return;
   const std::uint64_t source_checksum = r.u64();
   // Each column is read with the bulk reader, which stops at the first bad
   // or missing byte; the rows are built only once both columns are whole.
   const std::size_t n = static_cast<std::size_t>(v.tuple_count);
   std::vector<std::uint64_t> ids(n);
-  if (!r.varints(ids.data(), n)) return false;
+  if (!r.varints(ids.data(), n)) return;
   std::vector<std::uint64_t> keys(n);
-  if (!r.varints(keys.data(), n)) return false;
+  if (!r.varints(keys.data(), n)) return;
   auto data = std::make_shared<MaterializedRelation>();
   data->source_checksum = source_checksum;
   data->rows.reserve(n);
@@ -1372,186 +788,85 @@ bool decode_relation(Reader& r, RelationSpec& v) {
     data->rows.push_back(Tuple{ids[i], keys[i]});
   }
   v.data = std::move(data);
-  return true;
 }
 
-void encode_link(Writer& w, const LinkConfig& v) {
-  w.u8(static_cast<std::uint8_t>(v.topology));
-  w.f64(v.bandwidth_bytes_per_sec);
-  w.f64(v.latency_sec);
-  w.f64(v.per_message_overhead_bytes);
-  w.f64(v.loopback_sec_per_byte);
-  w.f64(v.fault_jitter_sec);
-  w.f64(v.fault_drop_prob);
-  w.f64(v.fault_rto_sec);
-  w.u64(v.fault_seed);
+void fields(auto& ar, Is<LinkConfig> auto& v) {
+  ar.code(v.topology, 1);
+  ar.f64(v.bandwidth_bytes_per_sec);
+  ar.f64(v.latency_sec);
+  ar.f64(v.per_message_overhead_bytes);
+  ar.f64(v.loopback_sec_per_byte);
+  ar.f64(v.fault_jitter_sec);
+  ar.f64(v.fault_drop_prob);
+  ar.f64(v.fault_rto_sec);
+  ar.u64(v.fault_seed);
 }
 
-bool decode_link(Reader& r, LinkConfig& v) {
-  if (!read_enum(r, v.topology, 1)) return false;
-  v.bandwidth_bytes_per_sec = r.f64();
-  v.latency_sec = r.f64();
-  v.per_message_overhead_bytes = r.f64();
-  v.loopback_sec_per_byte = r.f64();
-  v.fault_jitter_sec = r.f64();
-  v.fault_drop_prob = r.f64();
-  v.fault_rto_sec = r.f64();
-  v.fault_seed = r.u64();
-  return r.ok();
+void fields(auto& ar, Is<CostModel> auto& v) {
+  ar.f64(v.tuple_generate_sec);
+  ar.f64(v.tuple_insert_sec);
+  ar.f64(v.tuple_probe_sec);
+  ar.f64(v.tuple_compare_sec);
+  ar.f64(v.match_emit_sec);
+  ar.f64(v.tuple_pack_sec);
+  ar.f64(v.control_handle_sec);
+  ar.f64(v.cpu_scale);
 }
 
-void encode_cost(Writer& w, const CostModel& v) {
-  w.f64(v.tuple_generate_sec);
-  w.f64(v.tuple_insert_sec);
-  w.f64(v.tuple_probe_sec);
-  w.f64(v.tuple_compare_sec);
-  w.f64(v.match_emit_sec);
-  w.f64(v.tuple_pack_sec);
-  w.f64(v.control_handle_sec);
-  w.f64(v.cpu_scale);
+void fields(auto& ar, Is<DiskConfig> auto& v) {
+  ar.f64(v.write_bytes_per_sec);
+  ar.f64(v.read_bytes_per_sec);
+  ar.f64(v.seek_sec);
+  ar.varint(v.io_buffer_bytes);
 }
 
-bool decode_cost(Reader& r, CostModel& v) {
-  v.tuple_generate_sec = r.f64();
-  v.tuple_insert_sec = r.f64();
-  v.tuple_probe_sec = r.f64();
-  v.tuple_compare_sec = r.f64();
-  v.match_emit_sec = r.f64();
-  v.tuple_pack_sec = r.f64();
-  v.control_handle_sec = r.f64();
-  v.cpu_scale = r.f64();
-  return r.ok();
+void fields(auto& ar, Is<KillSpec> auto& v) {
+  ar.code(v.role, 2);
+  ar.varint(v.pool_index);
+  ar.f64(v.at_time);
+  ar.varint(v.after_chunks);
 }
 
-void encode_disk(Writer& w, const DiskConfig& v) {
-  w.f64(v.write_bytes_per_sec);
-  w.f64(v.read_bytes_per_sec);
-  w.f64(v.seek_sec);
-  w.varint(v.io_buffer_bytes);
+void config_fields(auto& ar, Is<EhjaConfig> auto& v) {
+  ar.code(v.algorithm, 4);
+  ar.varint(v.initial_join_nodes);
+  ar.varint(v.join_pool_nodes);
+  ar.varint(v.data_sources);
+  ar.varint(v.node_hash_memory_bytes);
+  fields(ar, v.build_rel);
+  fields(ar, v.probe_rel);
+  ar.varint(v.chunk_tuples);
+  ar.varint(v.generation_slice_tuples);
+  ar.u64(v.seed);
+  ar.varint(v.source_progress_slices);
+  ar.varint(v.reshuffle_bins);
+  ar.varint(v.spill_fanout);
+  ar.code(v.pick_policy, 2);
+  ar.code(v.split_variant, 1);
+  ar.flag(v.balanced_initial_partition);
+  ar.varint(v.partition_sample);
+  // v.trace is deliberately not serialized: tracing is a coordinator-side
+  // concern and the sink pointer is meaningless in another process.
+  fields(ar, v.link);
+  fields(ar, v.cost);
+  fields(ar, v.disk);
+  ar.list(v.faults.kills, 11, [&](auto& kill) { fields(ar, kill); });
+  ar.flag(v.ft.force_enabled);
+  ar.f64(v.ft.heartbeat_interval_sec);
+  ar.f64(v.ft.heartbeat_timeout_sec);
+  ar.code(v.ft.detector, 1);
+  ar.f64(v.ft.phi_threshold);
+  ar.varint(v.ft.phi_window);
+  ar.flag(v.ft.standby_scheduler);
+  ar.flag(v.capture_output);
+  ar.varint(v.pipeline_stage);
 }
 
-bool decode_disk(Reader& r, DiskConfig& v) {
-  v.write_bytes_per_sec = r.f64();
-  v.read_bytes_per_sec = r.f64();
-  v.seek_sec = r.f64();
-  const std::uint64_t buffer = r.varint();
-  if (buffer > std::numeric_limits<std::size_t>::max()) r.fail();
-  v.io_buffer_bytes = static_cast<std::size_t>(buffer);
-  return r.ok();
-}
+void fields(Encoder& ar, const EhjaConfig& v) { config_fields(ar, v); }
 
-void encode_faults(Writer& w, const FaultPlan& v) {
-  w.varint(v.kills.size());
-  for (const KillSpec& kill : v.kills) {
-    w.u8(static_cast<std::uint8_t>(kill.role));
-    w.varint(kill.pool_index);
-    w.f64(kill.at_time);
-    w.varint(kill.after_chunks);
-  }
-}
-
-bool decode_faults(Reader& r, FaultPlan& v) {
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 11)) return false;
-  v.kills.clear();
-  v.kills.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    KillSpec kill;
-    if (!read_enum(r, kill.role, 2)) return false;
-    if (!read_u32(r, kill.pool_index)) return false;
-    kill.at_time = r.f64();
-    kill.after_chunks = r.varint();
-    if (!r.ok()) return false;
-    v.kills.push_back(kill);
-  }
-  return true;
-}
-
-}  // namespace
-
-void encode_config(const EhjaConfig& config, Writer& w) {
-  w.u8(static_cast<std::uint8_t>(config.algorithm));
-  w.varint(config.initial_join_nodes);
-  w.varint(config.join_pool_nodes);
-  w.varint(config.data_sources);
-  w.varint(config.node_hash_memory_bytes);
-  encode_relation(w, config.build_rel);
-  encode_relation(w, config.probe_rel);
-  w.varint(config.chunk_tuples);
-  w.varint(config.generation_slice_tuples);
-  w.u64(config.seed);
-  w.varint(config.source_progress_slices);
-  w.varint(config.reshuffle_bins);
-  w.varint(config.spill_fanout);
-  w.u8(static_cast<std::uint8_t>(config.pick_policy));
-  w.u8(static_cast<std::uint8_t>(config.split_variant));
-  w.u8(config.balanced_initial_partition ? 1 : 0);
-  w.varint(config.partition_sample);
-  // config.trace is deliberately not serialized: tracing is a
-  // coordinator-side concern and the sink pointer is meaningless in another
-  // process.
-  encode_link(w, config.link);
-  encode_cost(w, config.cost);
-  encode_disk(w, config.disk);
-  encode_faults(w, config.faults);
-  w.u8(config.ft.force_enabled ? 1 : 0);
-  w.f64(config.ft.heartbeat_interval_sec);
-  w.f64(config.ft.heartbeat_timeout_sec);
-  w.u8(static_cast<std::uint8_t>(config.ft.detector));
-  w.f64(config.ft.phi_threshold);
-  w.varint(config.ft.phi_window);
-  w.u8(config.ft.standby_scheduler ? 1 : 0);
-  w.u8(config.capture_output ? 1 : 0);
-  w.varint(config.pipeline_stage);
-}
-
-bool decode_config(Reader& r, EhjaConfig& config) {
-  if (!read_enum(r, config.algorithm, 4)) return false;
-  if (!read_u32(r, config.initial_join_nodes) ||
-      !read_u32(r, config.join_pool_nodes) ||
-      !read_u32(r, config.data_sources)) {
-    return false;
-  }
-  config.node_hash_memory_bytes = r.varint();
-  if (!decode_relation(r, config.build_rel) ||
-      !decode_relation(r, config.probe_rel)) {
-    return false;
-  }
-  if (!read_u32(r, config.chunk_tuples) ||
-      !read_u32(r, config.generation_slice_tuples)) {
-    return false;
-  }
-  config.seed = r.u64();
-  if (!read_u32(r, config.source_progress_slices)) return false;
-  const std::uint64_t bins = r.varint();
-  const std::uint64_t fanout = r.varint();
-  if (!r.ok() || bins > std::numeric_limits<std::size_t>::max() ||
-      fanout > std::numeric_limits<std::size_t>::max()) {
-    r.fail();
-    return false;
-  }
-  config.reshuffle_bins = static_cast<std::size_t>(bins);
-  config.spill_fanout = static_cast<std::size_t>(fanout);
-  if (!read_enum(r, config.pick_policy, 2) ||
-      !read_enum(r, config.split_variant, 1) ||
-      !read_bool(r, config.balanced_initial_partition)) {
-    return false;
-  }
-  config.partition_sample = r.varint();
-  config.trace = nullptr;
-  if (!decode_link(r, config.link) || !decode_cost(r, config.cost) ||
-      !decode_disk(r, config.disk) || !decode_faults(r, config.faults)) {
-    return false;
-  }
-  if (!read_bool(r, config.ft.force_enabled)) return false;
-  config.ft.heartbeat_interval_sec = r.f64();
-  config.ft.heartbeat_timeout_sec = r.f64();
-  if (!read_enum(r, config.ft.detector, 1)) return false;
-  config.ft.phi_threshold = r.f64();
-  if (!read_u32(r, config.ft.phi_window)) return false;
-  if (!read_bool(r, config.ft.standby_scheduler)) return false;
-  if (!read_bool(r, config.capture_output)) return false;
-  return read_u32(r, config.pipeline_stage);
+void fields(Decoder& ar, EhjaConfig& v) {
+  config_fields(ar, v);
+  v.trace = nullptr;
 }
 
 // --- frame layer ---

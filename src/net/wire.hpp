@@ -3,21 +3,30 @@
 // Everything that crosses a process boundary in the socket runtime goes
 // through this module: the actor messages of core/messages.hpp (including
 // the recovery/epoch/fence vocabulary), the EhjaConfig handed to workers in
-// the connection handshake, and the control frames of the runtime itself
-// (hello/spawn/announce/shutdown; socket_runtime.cpp defines their bodies
-// with the same Writer/Reader primitives).
+// the connection handshake, and the bodies of the runtime's own control
+// frames (hello/peers/spawn/announce/node-dead/retire/query-config).
 //
 // Layering:
 //   * Primitives -- explicit little-endian fixed-width integers, LEB128
 //     varints, zigzag-folded signed varints, bit-cast doubles.  Nothing is
 //     ever written through a struct overlay, so the format is independent of
 //     host endianness and padding.
-//   * Payload codecs -- one encode/decode overload pair per payload struct
-//     and per composite (PosRange, PartitionMap, Chunk, BinnedHistogram,
-//     NodeMetrics, EhjaConfig).
-//   * Message codec -- encode_message/decode_message switch on Tag and
-//     carry (tag, from, wire_bytes, payload), reconstructing the exact
-//     std::any payload type that Message::as<T>() expects.
+//   * Field lists -- one `fields(ar, v)` per payload and config struct names
+//     each field's kind (range-checked varint, int32 id, strict bool,
+//     bounded u8 code, fixed u64, f64, bounded string, optional,
+//     can_hold-guarded list).  Encoder runs it to write, Decoder to read and
+//     check, so the two directions cannot drift apart.
+//   * Composites -- hand-written pairs, kept only where decoding checks an
+//     invariant no field kind expresses or a column takes the bulk varint
+//     codec: PartitionMap (contiguous cover of the position space), Chunk
+//     and BinnedHistogram (columnar varints), RelationSpec's materialized
+//     rows (columns sized by tuple_count), and the actor-keyed chunk maps
+//     (strictly increasing keys).  They live in wire.cpp.
+//   * Message codec -- one table in wire.cpp maps every Tag to its payload
+//     type (or marks it a signal); known_tag, encode_message and
+//     decode_message read it and carry (tag, from, wire_bytes, payload),
+//     reconstructing the exact std::any payload type that
+//     Message::as<T>() expects.
 //   * Frame layer -- a 16-byte header (magic, version, kind, length) plus a
 //     CRC32 over the body.  try_parse_frame() consumes a byte stream
 //     incrementally, so a TCP receive buffer can be fed as-is.
@@ -30,9 +39,13 @@
 // allocated.  tests/test_wire.cpp fuzzes exactly this contract under ASan.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/config.hpp"
@@ -133,84 +146,187 @@ class Reader {
   bool ok_ = true;
 };
 
-// --- composite codecs (shared building blocks) ---
+// --- field archives ---
+//
+// Each payload's layout is one field list,
+//
+//   void fields(auto& ar, Is<Payload> auto& v) { ar.varint(v.op_id); ... }
+//
+// run by an Encoder over a const payload (writing) and by a Decoder over a
+// fresh one (reading).  Every call names a field's wire form; the Decoder
+// applies that form's check and latches failure on the Reader, so a field
+// list cannot decode differently from how it encodes.
 
-void encode(Writer& w, const PosRange& v);
-bool decode(Reader& r, PosRange& v);
-void encode(Writer& w, const Chunk& v);
-bool decode(Reader& r, Chunk& v);
-void encode(Writer& w, const PartitionMap& v);
-bool decode(Reader& r, PartitionMap& v);  // validates map invariants
+/// V is T or const T: one field list serves both directions.
+template <class V, class T>
+concept Is = std::same_as<std::remove_const_t<V>, T>;
+
+class Encoder {
+ public:
+  explicit Encoder(Writer& w) : w_(w) {}
+  Writer& writer() { return w_; }
+
+  /// LEB128 varint; the Decoder rejects values T cannot hold.
+  template <std::unsigned_integral T>
+  void varint(T v) { w_.varint(v); }
+  /// Zigzag varint of an ActorId / NodeId; the Decoder rejects non-int32.
+  void id(std::int32_t v) { w_.zigzag(v); }
+  /// One byte, 0 or 1; the Decoder rejects anything else.
+  void flag(bool v) { w_.u8(v ? 1 : 0); }
+  /// One byte holding an enum or a small code; the Decoder rejects values
+  /// above `max`.
+  template <class E>
+  void code(E v, std::uint8_t /*max*/) { w_.u8(static_cast<std::uint8_t>(v)); }
+  /// Eight fixed bytes, for values that use all 64 bits (checksums, seeds).
+  void u64(std::uint64_t v) { w_.u64(v); }
+  void f64(double v) { w_.f64(v); }
+  /// Varint length, then the bytes; strings longer than `max` are cut.
+  void text(const std::string& s, std::size_t max) {
+    const std::size_t n = s.size() < max ? s.size() : max;
+    w_.varint(n);
+    w_.bytes(reinterpret_cast<const std::uint8_t*>(s.data()), n);
+  }
+  /// Presence flag, then `item` on the value.
+  template <class T, class F>
+  void opt(const std::optional<T>& v, F&& item) {
+    flag(v.has_value());
+    if (v) item(*v);
+  }
+  /// Varint count, then `item` on each element.  The Decoder first checks
+  /// the count against the bytes left at `min_item_bytes` per element.
+  template <class T, class F>
+  void list(const std::vector<T>& v, std::size_t /*min_item_bytes*/,
+            F&& item) {
+    w_.varint(v.size());
+    for (const T& x : v) item(x);
+  }
+  /// A decode-side invariant; nothing to write.
+  void require(bool) {}
+
+ private:
+  Writer& w_;
+};
+
+class Decoder {
+ public:
+  explicit Decoder(Reader& r) : r_(r) {}
+  Reader& reader() { return r_; }
+  bool ok() const { return r_.ok(); }
+
+  template <std::unsigned_integral T>
+  void varint(T& v) {
+    const std::uint64_t x = r_.varint();
+    if constexpr (sizeof(T) < sizeof(std::uint64_t)) {
+      if (x > std::numeric_limits<T>::max()) r_.fail();
+    }
+    v = static_cast<T>(x);
+  }
+  void id(std::int32_t& v) {
+    const std::int64_t x = r_.zigzag();
+    if (x < std::numeric_limits<std::int32_t>::min() ||
+        x > std::numeric_limits<std::int32_t>::max()) {
+      r_.fail();
+    }
+    v = static_cast<std::int32_t>(x);
+  }
+  void flag(bool& v) {
+    const std::uint8_t x = r_.u8();
+    if (x > 1) r_.fail();
+    v = x == 1;
+  }
+  template <class E>
+  void code(E& v, std::uint8_t max) {
+    const std::uint8_t x = r_.u8();
+    if (x > max) r_.fail();
+    v = static_cast<E>(x);
+  }
+  void u64(std::uint64_t& v) { v = r_.u64(); }
+  void f64(double& v) { v = r_.f64(); }
+  void text(std::string& s, std::size_t max) {
+    const std::uint64_t n = r_.varint();
+    if (n > max) r_.fail();
+    s.clear();
+    if (!r_.can_hold(n, 1)) return;
+    s.reserve(static_cast<std::size_t>(n));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      s.push_back(static_cast<char>(r_.u8()));
+    }
+  }
+  template <class T, class F>
+  void opt(std::optional<T>& v, F&& item) {
+    bool present = false;
+    flag(present);
+    if (!present || !r_.ok()) {
+      v.reset();
+      return;
+    }
+    item(v.emplace());
+  }
+  template <class T, class F>
+  void list(std::vector<T>& v, std::size_t min_item_bytes, F&& item) {
+    const std::uint64_t n = r_.varint();
+    v.clear();
+    if (!r_.can_hold(n, min_item_bytes)) return;
+    v.resize(static_cast<std::size_t>(n));
+    for (T& x : v) {
+      item(x);
+      if (!r_.ok()) return;
+    }
+  }
+  void require(bool holds) {
+    if (!holds) r_.fail();
+  }
+
+ private:
+  Reader& r_;
+};
+
+/// Append `v`'s fields to `w`.
+template <class T>
+void write_fields(Writer& w, const T& v) {
+  Encoder ar(w);
+  fields(ar, v);
+}
+
+/// Read `v`'s fields from `r`; false when any field failed its check.
+template <class T>
+bool read_fields(Reader& r, T& v) {
+  Decoder ar(r);
+  fields(ar, v);
+  return r.ok();
+}
+
+/// A frame body holding exactly `v`.
+template <class T>
+std::vector<std::uint8_t> encode_body(const T& v) {
+  Writer w;
+  write_fields(w, v);
+  return w.take();
+}
+
+/// Decode a frame body that must hold exactly one `v`.
+template <class T>
+bool decode_body(const std::vector<std::uint8_t>& body, T& v) {
+  Reader r(body);
+  return read_fields(r, v) && r.remaining() == 0;
+}
+
+// --- payload codecs ---
+//
+// The field lists of core/messages.hpp's payloads live in wire.cpp, next to
+// the tag table.  Only these stay callable on their own: the histogram (its
+// bulk codec is tested directly) and the data-chunk payload (perfbench times
+// the chunk codec through it).
+
 void encode(Writer& w, const BinnedHistogram& v);
 bool decode(Reader& r, BinnedHistogram& v);
-void encode(Writer& w, const NodeMetrics& v);
-bool decode(Reader& r, NodeMetrics& v);
-
-// --- payload codecs, one pair per struct in core/messages.hpp ---
-
-void encode(Writer& w, const JoinInitPayload& v);
-bool decode(Reader& r, JoinInitPayload& v);
-void encode(Writer& w, const StartBuildPayload& v);
-bool decode(Reader& r, StartBuildPayload& v);
 void encode(Writer& w, const ChunkPayload& v);
 bool decode(Reader& r, ChunkPayload& v);
-void encode(Writer& w, const ForwardEndPayload& v);
-bool decode(Reader& r, ForwardEndPayload& v);
-void encode(Writer& w, const MemoryFullPayload& v);
-bool decode(Reader& r, MemoryFullPayload& v);
-void encode(Writer& w, const SplitRequestPayload& v);
-bool decode(Reader& r, SplitRequestPayload& v);
-void encode(Writer& w, const HandoffStartPayload& v);
-bool decode(Reader& r, HandoffStartPayload& v);
-void encode(Writer& w, const OpCompletePayload& v);
-bool decode(Reader& r, OpCompletePayload& v);
-void encode(Writer& w, const MapUpdatePayload& v);
-bool decode(Reader& r, MapUpdatePayload& v);
-void encode(Writer& w, const SourceDonePayload& v);
-bool decode(Reader& r, SourceDonePayload& v);
-void encode(Writer& w, const SourceProgressPayload& v);
-bool decode(Reader& r, SourceProgressPayload& v);
-void encode(Writer& w, const DrainProbePayload& v);
-bool decode(Reader& r, DrainProbePayload& v);
-void encode(Writer& w, const DrainAckPayload& v);
-bool decode(Reader& r, DrainAckPayload& v);
-void encode(Writer& w, const StartProbePayload& v);
-bool decode(Reader& r, StartProbePayload& v);
-void encode(Writer& w, const HistogramRequestPayload& v);
-bool decode(Reader& r, HistogramRequestPayload& v);
-void encode(Writer& w, const HistogramReplyPayload& v);
-bool decode(Reader& r, HistogramReplyPayload& v);
-void encode(Writer& w, const ReshuffleMovePayload& v);
-bool decode(Reader& r, ReshuffleMovePayload& v);
-void encode(Writer& w, const ReshuffleDonePayload& v);
-bool decode(Reader& r, ReshuffleDonePayload& v);
-void encode(Writer& w, const NodeReportPayload& v);
-bool decode(Reader& r, NodeReportPayload& v);
-void encode(Writer& w, const ResultChunkPayload& v);
-bool decode(Reader& r, ResultChunkPayload& v);
-void encode(Writer& w, const RecoveryFencePayload& v);
-bool decode(Reader& r, RecoveryFencePayload& v);
-void encode(Writer& w, const RangeResetPayload& v);
-bool decode(Reader& r, RangeResetPayload& v);
-void encode(Writer& w, const RangeResetAckPayload& v);
-bool decode(Reader& r, RangeResetAckPayload& v);
-void encode(Writer& w, const ReplayRequestPayload& v);
-bool decode(Reader& r, ReplayRequestPayload& v);
-void encode(Writer& w, const ReplayDonePayload& v);
-bool decode(Reader& r, ReplayDonePayload& v);
-void encode(Writer& w, const SchedulerSnapshotPayload& v);
-bool decode(Reader& r, SchedulerSnapshotPayload& v);
-void encode(Writer& w, const SchedulerHandoffPayload& v);
-bool decode(Reader& r, SchedulerHandoffPayload& v);
-void encode(Writer& w, const SchedulerHandoffAckPayload& v);
-bool decode(Reader& r, SchedulerHandoffAckPayload& v);
 
 // --- message codec ---
 
 /// True when `tag` names a message of the protocol vocabulary.
 bool known_tag(int tag);
-/// True when messages with `tag` carry a payload (signals carry none).
-bool tag_has_payload(Tag tag);
 
 /// Serialize (tag, from, wire_bytes, payload).  Aborts on a tag/payload
 /// combination the protocol never produces -- that is a local protocol bug,
@@ -224,10 +340,95 @@ bool decode_message(Reader& r, Message& out);
 // --- config codec (worker handshake) ---
 
 /// Everything a worker needs to reconstruct the run: all EhjaConfig fields
-/// except the trace sink (tracing stays coordinator-side; workers get
-/// nullptr).
-void encode_config(const EhjaConfig& config, Writer& w);
-bool decode_config(Reader& r, EhjaConfig& config);
+/// except the trace sink (tracing stays coordinator-side; the Decoder sets
+/// it to nullptr).
+void fields(Encoder& ar, const EhjaConfig& v);
+void fields(Decoder& ar, EhjaConfig& v);
+
+inline void encode_config(const EhjaConfig& config, Writer& w) {
+  write_fields(w, config);
+}
+inline bool decode_config(Reader& r, EhjaConfig& config) {
+  return read_fields(r, config);
+}
+
+// --- socket runtime control frame bodies ---
+
+/// kHello (worker -> coordinator) and kPeerHello (worker -> worker).
+struct HelloBody {
+  NodeId node = -1;
+  std::uint16_t port = 0;  // mesh listener; 0 on kPeerHello
+  std::uint64_t incarnation = 0;
+};
+void fields(auto& ar, Is<HelloBody> auto& v) {
+  ar.id(v.node);
+  ar.varint(v.port);
+  ar.varint(v.incarnation);
+}
+
+/// kPeers (coordinator -> worker): every other worker's mesh port.
+struct PeersBody {
+  struct Peer {
+    NodeId node = -1;
+    std::uint16_t port = 0;
+  };
+  std::vector<Peer> peers;
+};
+void fields(auto& ar, Is<PeersBody> auto& v) {
+  ar.list(v.peers, 2, [&](auto& peer) {
+    ar.id(peer.node);
+    ar.varint(peer.port);
+  });
+}
+
+/// kSpawn (coordinator -> worker): instantiate one actor.
+struct SpawnBody {
+  ActorId id = kInvalidActor;
+  std::uint8_t kind = 0;  // RemoteSpawnSpec::Kind
+  std::uint32_t source_index = 0;
+  ActorId scheduler = kInvalidActor;
+  std::uint32_t config_id = 0;  // 0: the handshake config
+};
+void fields(auto& ar, Is<SpawnBody> auto& v) {
+  ar.id(v.id);
+  ar.code(v.kind, 1);
+  ar.varint(v.source_index);
+  ar.id(v.scheduler);
+  ar.varint(v.config_id);
+}
+
+/// kAnnounce (coordinator -> worker): the node an actor lives on.
+struct AnnounceBody {
+  ActorId id = kInvalidActor;
+  NodeId owner = -1;
+};
+void fields(auto& ar, Is<AnnounceBody> auto& v) {
+  ar.id(v.id);
+  ar.id(v.owner);
+}
+
+/// kNodeDead (coordinator -> worker): fail-stop notice.
+struct NodeDeadBody {
+  NodeId node = -1;
+};
+void fields(auto& ar, Is<NodeDeadBody> auto& v) { ar.id(v.node); }
+
+/// kRetire (coordinator -> worker): forget a finished actor.
+struct RetireBody {
+  ActorId id = kInvalidActor;
+};
+void fields(auto& ar, Is<RetireBody> auto& v) { ar.id(v.id); }
+
+/// kQueryConfig (coordinator -> worker): a per-query config and the id
+/// kSpawn bodies name it by.
+struct QueryConfigBody {
+  std::uint32_t id = 0;
+  EhjaConfig config;
+};
+void fields(auto& ar, Is<QueryConfigBody> auto& v) {
+  ar.varint(v.id);
+  fields(ar, v.config);
+}
 
 // --- frame layer ---
 

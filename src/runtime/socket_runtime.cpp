@@ -51,46 +51,16 @@ constexpr int kIdlePollMs = 50;
 constexpr double kHandshakeTimeoutSec = 60.0;
 constexpr std::uint64_t kFirstIncarnation = 1;
 
-// --- control frame bodies ---
+// --- control frame bodies (field lists in net/wire.hpp) ---
 
-std::vector<std::uint8_t> hello_body(NodeId node, std::uint16_t port,
-                                     std::uint64_t incarnation) {
-  wire::Writer w;
-  w.zigzag(node);
-  w.varint(port);
-  w.varint(incarnation);
-  return w.take();
-}
-
-struct HelloInfo {
-  NodeId node = -1;
-  std::uint16_t port = 0;
-  std::uint64_t incarnation = 0;
-};
-
-HelloInfo parse_hello(const wire::Frame& f, const char* what) {
-  wire::Reader r(f.body);
-  HelloInfo h;
-  h.node = static_cast<NodeId>(r.zigzag());
-  const std::uint64_t port = r.varint();
-  h.incarnation = r.varint();
-  EHJA_CHECK_MSG(r.ok() && r.remaining() == 0 && port <= 0xffff,
+/// Decode a control frame's body; a malformed one is fatal: `what` names
+/// the frame in the "corrupt ..." message.
+template <class T>
+T parse_body(const wire::Frame& f, const char* what) {
+  T body;
+  EHJA_CHECK_MSG(wire::decode_body(f.body, body),
                  (std::string("corrupt ") + what).c_str());
-  h.port = static_cast<std::uint16_t>(port);
-  return h;
-}
-
-std::vector<std::uint8_t> announce_body(ActorId id, NodeId owner) {
-  wire::Writer w;
-  w.zigzag(id);
-  w.zigzag(owner);
-  return w.take();
-}
-
-std::vector<std::uint8_t> node_dead_body(NodeId node) {
-  wire::Writer w;
-  w.zigzag(node);
-  return w.take();
+  return body;
 }
 
 /// Queue an actor-message frame and write it out at once, without blocking:
@@ -100,8 +70,9 @@ std::vector<std::uint8_t> node_dead_body(NodeId node) {
 void send_msg_frame(Conn& c, ActorId to, const Message& msg) {
   if (!c.usable()) return;
   wire::Writer w;
-  w.zigzag(to);
-  w.varint(c.next_send_seq++);
+  wire::Encoder ar(w);
+  ar.id(to);
+  ar.varint(c.next_send_seq++);
   wire::encode_message(msg, w);
   wire::append_frame(c.out, wire::FrameKind::kActorMsg, w.data());
   flush_out(c);
@@ -115,12 +86,12 @@ struct DecodedMsg {
 
 DecodedMsg parse_msg_frame(const wire::Frame& f) {
   wire::Reader r(f.body);
+  wire::Decoder ar(r);
   DecodedMsg d;
-  d.to = static_cast<ActorId>(r.zigzag());
-  d.seq = r.varint();
-  const bool ok = wire::decode_message(r, d.msg);
-  EHJA_CHECK_MSG(ok && r.ok() && r.remaining() == 0,
-                 "corrupt actor-message frame");
+  ar.id(d.to);
+  ar.varint(d.seq);
+  const bool ok = r.ok() && wire::decode_message(r, d.msg);
+  EHJA_CHECK_MSG(ok && r.remaining() == 0, "corrupt actor-message frame");
   return d;
 }
 
@@ -186,7 +157,7 @@ void SocketRuntime::handshake(std::uint16_t /*port*/) {
       if (!next_frame(*c, f)) continue;
       EHJA_CHECK_MSG(f.kind == wire::FrameKind::kHello,
                      "expected HELLO from worker");
-      const HelloInfo h = parse_hello(f, "HELLO");
+      const auto h = parse_body<wire::HelloBody>(f, "HELLO");
       EHJA_CHECK_MSG(h.node >= 1 && static_cast<std::size_t>(h.node) < total,
                      "HELLO from unknown node");
       EHJA_CHECK_MSG(conns_[h.node] == nullptr, "duplicate HELLO for node");
@@ -208,14 +179,12 @@ void SocketRuntime::handshake(std::uint16_t /*port*/) {
   for (std::size_t n = 1; n < total; ++n) {
     Conn& c = *conns_[n];
     queue_frame(c, wire::FrameKind::kWelcome, config_body);
-    wire::Writer pw;
-    pw.varint(workers - 1);
+    wire::PeersBody peers;
     for (std::size_t m = 1; m < total; ++m) {
       if (m == n) continue;
-      pw.zigzag(static_cast<NodeId>(m));
-      pw.varint(mesh_port[m]);
+      peers.peers.push_back({static_cast<NodeId>(m), mesh_port[m]});
     }
-    queue_frame(c, wire::FrameKind::kPeers, pw.data());
+    queue_frame(c, wire::FrameKind::kPeers, wire::encode_body(peers));
   }
 
   // Phase 3: wait for every worker's READY (mesh established).
@@ -274,13 +243,11 @@ ActorId SocketRuntime::spawn(NodeId node, std::unique_ptr<Actor> actor) {
     // runs in the worker.
     actors_.push_back(std::move(actor));
     const std::uint32_t config_id = ship_config(node, spec->config);
-    wire::Writer w;
-    w.zigzag(id);
-    w.u8(static_cast<std::uint8_t>(spec->kind));
-    w.varint(spec->source_index);
-    w.zigzag(spec->scheduler);
-    w.varint(config_id);
-    queue_frame(*conns_[node], wire::FrameKind::kSpawn, w.data());
+    const wire::SpawnBody body{id, static_cast<std::uint8_t>(spec->kind),
+                               spec->source_index, spec->scheduler,
+                               config_id};
+    queue_frame(*conns_[node], wire::FrameKind::kSpawn,
+                wire::encode_body(body));
     broadcast_announce(id, node);
   }
   return id;
@@ -301,10 +268,7 @@ std::uint32_t SocketRuntime::ship_config(
     config_ids_.emplace(config.get(), id);
     ShippedConfig shipped;
     shipped.config = config;
-    wire::Writer w;
-    w.varint(id);
-    wire::encode_config(*config, w);
-    shipped.body = w.take();
+    shipped.body = wire::encode_body(wire::QueryConfigBody{id, *config});
     shipped_configs_.emplace(id, std::move(shipped));
   }
   ShippedConfig& shipped = shipped_configs_.at(id);
@@ -320,11 +284,11 @@ void SocketRuntime::retire_actor(ActorId id) {
   actors_[id].reset();  // the local instance or the parked remote copy
   // Everyone (owner included) forgets the actor; stragglers in flight are
   // dropped at whichever hop sees the tombstone first.
-  wire::Writer w;
-  w.zigzag(id);
+  const std::vector<std::uint8_t> body =
+      wire::encode_body(wire::RetireBody{id});
   for (std::size_t n = 1; n < conns_.size(); ++n) {
     if (node_dead_[n] || !conns_[n]) continue;
-    queue_frame(*conns_[n], wire::FrameKind::kRetire, w.data());
+    queue_frame(*conns_[n], wire::FrameKind::kRetire, body);
   }
 }
 
@@ -336,7 +300,8 @@ void SocketRuntime::watch_fd(int fd, std::function<void()> on_event) {
 void SocketRuntime::unwatch_fd(int fd) { watched_fds_.erase(fd); }
 
 void SocketRuntime::broadcast_announce(ActorId id, NodeId owner) {
-  const std::vector<std::uint8_t> body = announce_body(id, owner);
+  const std::vector<std::uint8_t> body =
+      wire::encode_body(wire::AnnounceBody{id, owner});
   for (std::size_t n = 1; n < spec_.node_count(); ++n) {
     if (static_cast<NodeId>(n) == owner || node_dead_[n] || !conns_[n]) continue;
     queue_frame(*conns_[n], wire::FrameKind::kAnnounce, body);
@@ -458,7 +423,8 @@ void SocketRuntime::mark_node_dead(NodeId node) {
   if (node_dead_[node]) return;
   node_dead_[node] = 1;
   conns_[node].reset();  // unread input and unsent output die with the node
-  const std::vector<std::uint8_t> body = node_dead_body(node);
+  const std::vector<std::uint8_t> body =
+      wire::encode_body(wire::NodeDeadBody{node});
   for (std::size_t n = 1; n < spec_.node_count(); ++n) {
     if (node_dead_[n] || !conns_[n]) continue;
     queue_frame(*conns_[n], wire::FrameKind::kNodeDead, body);
@@ -783,13 +749,8 @@ class SocketWorkerRuntime final : public Runtime {
 };
 
 void SocketWorkerRuntime::handle_spawn(const wire::Frame& f) {
-  wire::Reader r(f.body);
-  const ActorId id = static_cast<ActorId>(r.zigzag());
-  const std::uint8_t kind = r.u8();
-  const std::uint32_t source_index = static_cast<std::uint32_t>(r.varint());
-  const ActorId scheduler = static_cast<ActorId>(r.zigzag());
-  const std::uint32_t config_id = static_cast<std::uint32_t>(r.varint());
-  EHJA_CHECK_MSG(r.ok() && r.remaining() == 0 && kind <= 1, "corrupt SPAWN");
+  const auto [id, kind, source_index, scheduler, config_id] =
+      parse_body<wire::SpawnBody>(f, "SPAWN");
   EHJA_CHECK_MSG(actors_.count(id) == 0, "SPAWN for an existing actor");
 
   std::shared_ptr<const EhjaConfig> cfg = config_;
@@ -827,10 +788,7 @@ void SocketWorkerRuntime::handle_spawn(const wire::Frame& f) {
 }
 
 void SocketWorkerRuntime::handle_announce(const wire::Frame& f) {
-  wire::Reader r(f.body);
-  const ActorId id = static_cast<ActorId>(r.zigzag());
-  const NodeId owner = static_cast<NodeId>(r.zigzag());
-  EHJA_CHECK_MSG(r.ok() && r.remaining() == 0, "corrupt ANNOUNCE");
+  const auto [id, owner] = parse_body<wire::AnnounceBody>(f, "ANNOUNCE");
   EHJA_CHECK_MSG(owner != node_, "ANNOUNCE for own node without SPAWN");
   route_[id] = owner;
   const auto it = pending_out_.find(id);
@@ -841,19 +799,15 @@ void SocketWorkerRuntime::handle_announce(const wire::Frame& f) {
 }
 
 void SocketWorkerRuntime::handle_query_config(const wire::Frame& f) {
-  wire::Reader r(f.body);
-  const std::uint32_t id = static_cast<std::uint32_t>(r.varint());
-  EhjaConfig cfg;
-  const bool ok = wire::decode_config(r, cfg);
-  EHJA_CHECK_MSG(ok && r.ok() && r.remaining() == 0, "corrupt QUERY_CONFIG");
-  EHJA_CHECK_MSG(id != 0, "query config id 0 is reserved for the handshake");
-  query_configs_[id] = std::make_shared<const EhjaConfig>(std::move(cfg));
+  auto body = parse_body<wire::QueryConfigBody>(f, "QUERY_CONFIG");
+  EHJA_CHECK_MSG(body.id != 0,
+                 "query config id 0 is reserved for the handshake");
+  query_configs_[body.id] =
+      std::make_shared<const EhjaConfig>(std::move(body.config));
 }
 
 void SocketWorkerRuntime::handle_retire(const wire::Frame& f) {
-  wire::Reader r(f.body);
-  const ActorId id = static_cast<ActorId>(r.zigzag());
-  EHJA_CHECK_MSG(r.ok() && r.remaining() == 0, "corrupt RETIRE");
+  const ActorId id = parse_body<wire::RetireBody>(f, "RETIRE").id;
   retired_.insert(id);
   actors_.erase(id);
   route_.erase(id);
@@ -894,9 +848,7 @@ void SocketWorkerRuntime::handle_frames(Conn& c) {
         break;
       }
       case wire::FrameKind::kNodeDead: {
-        wire::Reader r(f.body);
-        const NodeId dead = static_cast<NodeId>(r.zigzag());
-        EHJA_CHECK_MSG(r.ok() && r.remaining() == 0, "corrupt NODE_DEAD");
+        const NodeId dead = parse_body<wire::NodeDeadBody>(f, "NODE_DEAD").node;
         if (dead >= 0 && static_cast<std::size_t>(dead) < dead_.size()) {
           dead_[dead] = 1;
           if (static_cast<std::size_t>(dead) < conns_.size()) {
@@ -959,19 +911,15 @@ int SocketWorkerRuntime::run_worker() {
   std::uint16_t my_port = 0;
   const int listen_fd = make_listener(my_port);
   queue_frame(*coord_, wire::FrameKind::kHello,
-              hello_body(node_, my_port, kFirstIncarnation));
+              wire::encode_body(
+                  wire::HelloBody{node_, my_port, kFirstIncarnation}));
   must_flush(*coord_, kHandshakeTimeoutSec, "HELLO");
 
   // Step 2: WELCOME carries the run config; rebuild the cluster view.
   wire::Frame f = must_recv_frame(*coord_, kHandshakeTimeoutSec, "WELCOME");
   EHJA_CHECK_MSG(f.kind == wire::FrameKind::kWelcome, "expected WELCOME");
-  {
-    wire::Reader r(f.body);
-    EhjaConfig cfg;
-    EHJA_CHECK_MSG(wire::decode_config(r, cfg) && r.remaining() == 0,
-                   "corrupt WELCOME config");
-    config_ = std::make_shared<const EhjaConfig>(std::move(cfg));
-  }
+  config_ = std::make_shared<const EhjaConfig>(
+      parse_body<EhjaConfig>(f, "WELCOME config"));
   cluster_ = make_cluster(*config_);
   dead_.assign(cluster_.node_count(), 0);
   conns_.resize(cluster_.node_count());
@@ -985,28 +933,24 @@ int SocketWorkerRuntime::run_worker() {
   EHJA_CHECK_MSG(f.kind == wire::FrameKind::kPeers, "expected PEERS");
   std::size_t expect_accepts = 0;
   {
-    wire::Reader r(f.body);
-    const std::uint64_t n = r.varint();
-    EHJA_CHECK_MSG(r.ok() && n == cluster_.node_count() - 2, "corrupt PEERS");
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const NodeId peer = static_cast<NodeId>(r.zigzag());
-      const std::uint64_t port = r.varint();
-      EHJA_CHECK_MSG(r.ok() && peer >= 1 && peer != node_ &&
-                         static_cast<std::size_t>(peer) < cluster_.node_count() &&
-                         port <= 0xffff,
+    const auto peers = parse_body<wire::PeersBody>(f, "PEERS").peers;
+    EHJA_CHECK_MSG(peers.size() == cluster_.node_count() - 2, "corrupt PEERS");
+    for (const auto [peer, port] : peers) {
+      EHJA_CHECK_MSG(peer >= 1 && peer != node_ &&
+                         static_cast<std::size_t>(peer) < cluster_.node_count(),
                      "corrupt PEERS entry");
       if (peer < node_) {
-        auto c = adopt_fd(connect_loopback(static_cast<std::uint16_t>(port)));
+        auto c = adopt_fd(connect_loopback(port));
         c->peer = peer;
         queue_frame(*c, wire::FrameKind::kPeerHello,
-                    hello_body(node_, 0, kFirstIncarnation));
+                    wire::encode_body(
+                        wire::HelloBody{node_, 0, kFirstIncarnation}));
         must_flush(*c, kHandshakeTimeoutSec, "PEER_HELLO");
         conns_[peer] = std::move(c);
       } else {
         ++expect_accepts;
       }
     }
-    EHJA_CHECK_MSG(r.remaining() == 0, "corrupt PEERS");
   }
   std::size_t accepted = 0;
   const auto deadline =
@@ -1023,7 +967,7 @@ int SocketWorkerRuntime::run_worker() {
         must_recv_frame(*c, kHandshakeTimeoutSec, "PEER_HELLO");
     EHJA_CHECK_MSG(hello.kind == wire::FrameKind::kPeerHello,
                    "expected PEER_HELLO");
-    const HelloInfo h = parse_hello(hello, "PEER_HELLO");
+    const auto h = parse_body<wire::HelloBody>(hello, "PEER_HELLO");
     EHJA_CHECK_MSG(h.node > node_ &&
                        static_cast<std::size_t>(h.node) < cluster_.node_count(),
                    "PEER_HELLO from unexpected node");

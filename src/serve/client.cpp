@@ -225,9 +225,9 @@ std::optional<QueryStatusPayload> ServeClient::cancel(std::uint64_t query_id,
 
 // --- workload replay ------------------------------------------------------
 
-double ReplayStats::latency_percentile_ms(double q) const {
-  if (latency_ms.empty()) return 0.0;
-  std::vector<double> sorted = latency_ms;
+double ReplayStats::percentile_ms(const std::vector<double>& ms, double q) {
+  if (ms.empty()) return 0.0;
+  std::vector<double> sorted = ms;
   std::sort(sorted.begin(), sorted.end());
   const double rank = q * static_cast<double>(sorted.size() - 1);
   const std::size_t idx =
@@ -286,6 +286,8 @@ ReplayStats replay_workload(std::uint16_t port,
       }
       ++stats.completed;
       stats.latency_ms.push_back(seconds_since(submit_at) * 1000.0);
+      stats.queue_ms.push_back(result->queue_sec * 1000.0);
+      stats.run_ms.push_back(result->run_sec * 1000.0);
       if (verify) {
         const JoinResult oracle = reference_join(q.config);
         if (oracle.matches != result->matches ||
@@ -312,6 +314,9 @@ ReplayStats replay_workload(std::uint16_t port,
     total.errors += s.errors;
     total.latency_ms.insert(total.latency_ms.end(), s.latency_ms.begin(),
                             s.latency_ms.end());
+    total.queue_ms.insert(total.queue_ms.end(), s.queue_ms.begin(),
+                          s.queue_ms.end());
+    total.run_ms.insert(total.run_ms.end(), s.run_ms.begin(), s.run_ms.end());
   }
   total.wall_sec = seconds_since(start);
   return total;

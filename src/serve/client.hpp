@@ -114,12 +114,19 @@ struct ReplayStats {
   std::uint64_t errors = 0;           // connection losses / timeouts
   double wall_sec = 0.0;
   std::vector<double> latency_ms;     // per completed query, submit->result
+  /// The server's split of each completed query's time, from its
+  /// QueryResultPayload: accepted -> admitted, and admitted -> complete.
+  std::vector<double> queue_ms;
+  std::vector<double> run_ms;
 
   double qps() const {
     return wall_sec > 0 ? static_cast<double>(completed) / wall_sec : 0.0;
   }
-  /// q in [0,1]; nearest-rank percentile of latency_ms.
-  double latency_percentile_ms(double q) const;
+  /// q in [0,1]; nearest-rank percentile of `ms`.
+  static double percentile_ms(const std::vector<double>& ms, double q);
+  double latency_percentile_ms(double q) const {
+    return percentile_ms(latency_ms, q);
+  }
 };
 
 /// Drive `queries` through the server at `concurrency` connections (one

@@ -2,24 +2,6 @@
 
 namespace ehja::serve {
 
-namespace {
-
-constexpr std::size_t kMaxString = 64 * 1024;
-
-bool get_bool(wire::Reader& r, bool& v) {
-  const std::uint8_t b = r.u8();
-  if (!r.ok() || b > 1) {
-    r.fail();
-    return false;
-  }
-  v = b != 0;
-  return true;
-}
-
-bool done(wire::Reader& r) { return r.ok() && r.remaining() == 0; }
-
-}  // namespace
-
 RejectCode reject_code(AdmitReject reason) {
   switch (reason) {
     case AdmitReject::kQueueFull:
@@ -52,155 +34,6 @@ const char* reject_code_name(RejectCode code) {
       return "no-hello";
   }
   return "?";
-}
-
-void put_string(wire::Writer& w, const std::string& s) {
-  const std::size_t n = s.size() < kMaxString ? s.size() : kMaxString;
-  w.varint(n);
-  w.bytes(reinterpret_cast<const std::uint8_t*>(s.data()), n);
-}
-
-bool get_string(wire::Reader& r, std::string& s) {
-  const std::uint64_t n = r.varint();
-  if (!r.ok() || n > kMaxString || !r.can_hold(n, 1)) {
-    r.fail();
-    return false;
-  }
-  s.clear();
-  s.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    s.push_back(static_cast<char>(r.u8()));
-  }
-  return r.ok();
-}
-
-void encode(wire::Writer& w, const ClientHelloPayload& v) {
-  put_string(w, v.tenant);
-}
-
-bool decode_payload(wire::Reader& r, ClientHelloPayload& v) {
-  return get_string(r, v.tenant) && done(r);
-}
-
-void encode(wire::Writer& w, const ServerHelloPayload& v) {
-  w.u8(v.ok ? 1 : 0);
-  w.u8(v.draining ? 1 : 0);
-  put_string(w, v.message);
-}
-
-bool decode_payload(wire::Reader& r, ServerHelloPayload& v) {
-  return get_bool(r, v.ok) && get_bool(r, v.draining) &&
-         get_string(r, v.message) && done(r);
-}
-
-void encode(wire::Writer& w, const SubmitQueryPayload& v) {
-  w.varint(v.client_seq);
-  wire::encode_config(v.config, w);
-}
-
-bool decode_payload(wire::Reader& r, SubmitQueryPayload& v) {
-  v.client_seq = r.varint();
-  if (!r.ok()) return false;
-  return wire::decode_config(r, v.config) && done(r);
-}
-
-void encode(wire::Writer& w, const QueryAcceptedPayload& v) {
-  w.varint(v.client_seq);
-  w.varint(v.query_id);
-  w.varint(v.queue_position);
-}
-
-bool decode_payload(wire::Reader& r, QueryAcceptedPayload& v) {
-  v.client_seq = r.varint();
-  v.query_id = r.varint();
-  v.queue_position = static_cast<std::uint32_t>(r.varint());
-  return done(r);
-}
-
-void encode(wire::Writer& w, const QueryRejectedPayload& v) {
-  w.varint(v.client_seq);
-  w.u8(static_cast<std::uint8_t>(v.reason));
-  w.varint(v.retry_after_ms);
-  put_string(w, v.message);
-}
-
-bool decode_payload(wire::Reader& r, QueryRejectedPayload& v) {
-  v.client_seq = r.varint();
-  const std::uint8_t reason = r.u8();
-  if (!r.ok() || reason > static_cast<std::uint8_t>(RejectCode::kNoHello)) {
-    r.fail();
-    return false;
-  }
-  v.reason = static_cast<RejectCode>(reason);
-  v.retry_after_ms = static_cast<std::uint32_t>(r.varint());
-  return get_string(r, v.message) && done(r);
-}
-
-void encode(wire::Writer& w, const QueryResultPayload& v) {
-  w.varint(v.query_id);
-  w.varint(v.matches);
-  w.u64(v.checksum);
-  w.varint(v.build_tuples);
-  w.varint(v.probe_tuples);
-  w.varint(v.expansions);
-  w.f64(v.queue_sec);
-  w.f64(v.run_sec);
-}
-
-bool decode_payload(wire::Reader& r, QueryResultPayload& v) {
-  v.query_id = r.varint();
-  v.matches = r.varint();
-  v.checksum = r.u64();
-  v.build_tuples = r.varint();
-  v.probe_tuples = r.varint();
-  v.expansions = static_cast<std::uint32_t>(r.varint());
-  v.queue_sec = r.f64();
-  v.run_sec = r.f64();
-  return done(r);
-}
-
-void encode(wire::Writer& w, const QueryStatusReqPayload& v) {
-  w.varint(v.query_id);
-}
-
-bool decode_payload(wire::Reader& r, QueryStatusReqPayload& v) {
-  v.query_id = r.varint();
-  return done(r);
-}
-
-void encode(wire::Writer& w, const QueryStatusPayload& v) {
-  w.varint(v.query_id);
-  w.u8(static_cast<std::uint8_t>(v.state));
-  w.varint(v.queue_position);
-}
-
-bool decode_payload(wire::Reader& r, QueryStatusPayload& v) {
-  v.query_id = r.varint();
-  const std::uint8_t state = r.u8();
-  if (!r.ok() || state > static_cast<std::uint8_t>(QueryState::kUnknown)) {
-    r.fail();
-    return false;
-  }
-  v.state = static_cast<QueryState>(state);
-  v.queue_position = static_cast<std::uint32_t>(r.varint());
-  return done(r);
-}
-
-void encode(wire::Writer& w, const CancelQueryPayload& v) {
-  w.varint(v.query_id);
-}
-
-bool decode_payload(wire::Reader& r, CancelQueryPayload& v) {
-  v.query_id = r.varint();
-  return done(r);
-}
-
-void encode(wire::Writer& w, const ShutdownNoticePayload& v) {
-  put_string(w, v.message);
-}
-
-bool decode_payload(wire::Reader& r, ShutdownNoticePayload& v) {
-  return get_string(r, v.message) && done(r);
 }
 
 }  // namespace ehja::serve

@@ -2,10 +2,12 @@
 //
 // These ride the same frame layer as the fleet protocol (net/wire.hpp:
 // magic, version, kind, CRC32) but cross a *trust boundary*: the peer may
-// be a newer build, a different tool, or garbage.  Every decoder here is
-// total -- truncation, bad lengths and unknown enum values return false,
-// never abort -- and the server pairs them with netio::try_next_frame so a
-// hostile byte stream costs one connection, not the process.
+// be a newer build, a different tool, or garbage.  Each payload is one
+// field list on net/wire.hpp's archives, so every decoder is total with the
+// fleet codec's checks: truncation, bad lengths, unknown enum values and
+// uint32 fields past 2^32 - 1 return false, never abort -- and the server
+// pairs them with netio::try_next_frame so a hostile byte stream costs one
+// connection, not the process.
 //
 // Conversation shape (client side in serve/client.hpp):
 //
@@ -23,6 +25,7 @@
 // everywhere after acceptance.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -55,26 +58,50 @@ enum class QueryState : std::uint8_t {
   kUnknown = 4,
 };
 
+/// Longest string a payload carries (tenant names, messages); longer ones
+/// are cut on encode, and a longer length on the wire is a decode error.
+inline constexpr std::size_t kMaxText = 64 * 1024;
+
+// Each payload's field list follows its struct (see net/wire.hpp's field
+// archives); encode() and decode_payload() below run it.
+
 struct ClientHelloPayload {
   std::string tenant;
 };
+void fields(auto& ar, wire::Is<ClientHelloPayload> auto& v) {
+  ar.text(v.tenant, kMaxText);
+}
 
 struct ServerHelloPayload {
   bool ok = false;        // tenant recognised
   bool draining = false;  // shutdown in progress; submits will bounce
   std::string message;
 };
+void fields(auto& ar, wire::Is<ServerHelloPayload> auto& v) {
+  ar.flag(v.ok);
+  ar.flag(v.draining);
+  ar.text(v.message, kMaxText);
+}
 
 struct SubmitQueryPayload {
   std::uint64_t client_seq = 0;
   EhjaConfig config;
 };
+void fields(auto& ar, wire::Is<SubmitQueryPayload> auto& v) {
+  ar.varint(v.client_seq);
+  fields(ar, v.config);
+}
 
 struct QueryAcceptedPayload {
   std::uint64_t client_seq = 0;
   std::uint64_t query_id = 0;
   std::uint32_t queue_position = 0;  // 1-based
 };
+void fields(auto& ar, wire::Is<QueryAcceptedPayload> auto& v) {
+  ar.varint(v.client_seq);
+  ar.varint(v.query_id);
+  ar.varint(v.queue_position);
+}
 
 struct QueryRejectedPayload {
   std::uint64_t client_seq = 0;  // 0 when the submit was undecodable
@@ -82,6 +109,12 @@ struct QueryRejectedPayload {
   std::uint32_t retry_after_ms = 0;  // > 0: transient, try again
   std::string message;
 };
+void fields(auto& ar, wire::Is<QueryRejectedPayload> auto& v) {
+  ar.varint(v.client_seq);
+  ar.code(v.reason, static_cast<std::uint8_t>(RejectCode::kNoHello));
+  ar.varint(v.retry_after_ms);
+  ar.text(v.message, kMaxText);
+}
 
 /// The completed join, summarized.  matches/checksum are the JoinResult the
 /// client compares against its serial oracle (byte-identical results are
@@ -96,53 +129,60 @@ struct QueryResultPayload {
   double queue_sec = 0.0;  // accepted -> admitted
   double run_sec = 0.0;    // admitted -> complete
 };
+void fields(auto& ar, wire::Is<QueryResultPayload> auto& v) {
+  ar.varint(v.query_id);
+  ar.varint(v.matches);
+  ar.u64(v.checksum);
+  ar.varint(v.build_tuples);
+  ar.varint(v.probe_tuples);
+  ar.varint(v.expansions);
+  ar.f64(v.queue_sec);
+  ar.f64(v.run_sec);
+}
 
 struct QueryStatusReqPayload {
   std::uint64_t query_id = 0;
 };
+void fields(auto& ar, wire::Is<QueryStatusReqPayload> auto& v) {
+  ar.varint(v.query_id);
+}
 
 struct QueryStatusPayload {
   std::uint64_t query_id = 0;
   QueryState state = QueryState::kUnknown;
   std::uint32_t queue_position = 0;  // kQueued only
 };
+void fields(auto& ar, wire::Is<QueryStatusPayload> auto& v) {
+  ar.varint(v.query_id);
+  ar.code(v.state, static_cast<std::uint8_t>(QueryState::kUnknown));
+  ar.varint(v.queue_position);
+}
 
 struct CancelQueryPayload {
   std::uint64_t query_id = 0;
 };
+void fields(auto& ar, wire::Is<CancelQueryPayload> auto& v) {
+  ar.varint(v.query_id);
+}
 
 struct ShutdownNoticePayload {
   std::string message;
 };
+void fields(auto& ar, wire::Is<ShutdownNoticePayload> auto& v) {
+  ar.text(v.message, kMaxText);
+}
 
-// Codecs: encode into a Writer, total decode from a Reader.  Decoders
-// verify they consumed the body exactly (r.ok() && r.remaining() == 0 is
-// the caller's contract here, folded in for convenience).
+/// Append one payload to `w`.
+template <class P>
+void encode(wire::Writer& w, const P& v) {
+  wire::write_fields(w, v);
+}
 
-void encode(wire::Writer& w, const ClientHelloPayload& v);
-bool decode_payload(wire::Reader& r, ClientHelloPayload& v);
-void encode(wire::Writer& w, const ServerHelloPayload& v);
-bool decode_payload(wire::Reader& r, ServerHelloPayload& v);
-void encode(wire::Writer& w, const SubmitQueryPayload& v);
-bool decode_payload(wire::Reader& r, SubmitQueryPayload& v);
-void encode(wire::Writer& w, const QueryAcceptedPayload& v);
-bool decode_payload(wire::Reader& r, QueryAcceptedPayload& v);
-void encode(wire::Writer& w, const QueryRejectedPayload& v);
-bool decode_payload(wire::Reader& r, QueryRejectedPayload& v);
-void encode(wire::Writer& w, const QueryResultPayload& v);
-bool decode_payload(wire::Reader& r, QueryResultPayload& v);
-void encode(wire::Writer& w, const QueryStatusReqPayload& v);
-bool decode_payload(wire::Reader& r, QueryStatusReqPayload& v);
-void encode(wire::Writer& w, const QueryStatusPayload& v);
-bool decode_payload(wire::Reader& r, QueryStatusPayload& v);
-void encode(wire::Writer& w, const CancelQueryPayload& v);
-bool decode_payload(wire::Reader& r, CancelQueryPayload& v);
-void encode(wire::Writer& w, const ShutdownNoticePayload& v);
-bool decode_payload(wire::Reader& r, ShutdownNoticePayload& v);
-
-/// Length-prefixed UTF-8-agnostic byte string (varint length + bytes),
-/// capped at 64 KiB so a corrupt length cannot demand gigabytes.
-void put_string(wire::Writer& w, const std::string& s);
-bool get_string(wire::Reader& r, std::string& s);
+/// Total decode of one payload: true only when every field passed its check
+/// and the body was consumed exactly.
+template <class P>
+bool decode_payload(wire::Reader& r, P& v) {
+  return wire::read_fields(r, v) && r.remaining() == 0;
+}
 
 }  // namespace ehja::serve

@@ -547,7 +547,8 @@ TEST(WireHistogramCodec, DenseHistogramMatchesPerBinReference) {
   ASSERT_EQ(h.bin_count(), kBins);
   std::mt19937_64 rng(0x4157);
   for (std::size_t i = 0; i < kBins; ++i) {
-    std::uint64_t weight = rng() >> (24 + i % 41);  // below 2^(40 - i % 41)
+    // Below 2^(40 - i % 41); two shifts, since one shift by 64 is undefined.
+    std::uint64_t weight = (rng() >> 1) >> (23 + i % 41);
     if (i == 0) weight = 0;
     if (i + 1 == kBins) weight = std::uint64_t{1} << 40;
     if (weight > 0) h.add(h.bin_lo(i), weight);
@@ -633,6 +634,43 @@ TEST(WireMessages, PartitionMapInvariantsEnforcedOnDecode) {
       (void)wire::decode_message(r, out);  // must simply not blow up
     }
   }
+}
+
+TEST(WireMessages, PartitionMapInvariantViolationsAreRejected) {
+  // kStartBuild bodies carrying hand-written maps over 100 positions; only
+  // the first covers them contiguously with an owner per entry, in the
+  // fewest bytes an entry can take.  A single byte flip rarely reaches
+  // these shapes, so each is spelled out.
+  struct RawEntry {
+    std::uint64_t lo;
+    std::uint64_t hi;
+    std::vector<ActorId> owners;
+  };
+  const auto decodes = [](const std::vector<RawEntry>& entries) {
+    Writer w;
+    w.zigzag(static_cast<int>(Tag::kStartBuild));
+    w.zigzag(0);
+    w.varint(128);
+    w.varint(100);  // positions
+    w.varint(entries.size());
+    for (const RawEntry& e : entries) {
+      w.varint(e.lo);
+      w.varint(e.hi);
+      w.varint(e.owners.size());
+      for (const ActorId owner : e.owners) w.zigzag(owner);
+    }
+    w.varint(4);  // epoch
+    Reader r(w.data());
+    Message out;
+    return wire::decode_message(r, out) && r.remaining() == 0;
+  };
+  EXPECT_TRUE(decodes({{0, 40, {5}}, {40, 70, {7}}, {70, 100, {9}}}));
+  EXPECT_FALSE(decodes({}));
+  EXPECT_FALSE(decodes({{1, 40, {5}}, {40, 100, {7}}}));   // starts past 0
+  EXPECT_FALSE(decodes({{0, 40, {5}}, {40, 99, {7}}}));    // stops short
+  EXPECT_FALSE(decodes({{0, 40, {5}}, {41, 100, {7}}}));   // gap
+  EXPECT_FALSE(decodes({{0, 40, {}}, {40, 100, {7}}}));    // no owner
+  EXPECT_FALSE(decodes({{0, 0, {5}}, {0, 100, {7}}}));     // empty range
 }
 
 TEST(WireMessages, UnknownTagRejected) {
@@ -1010,6 +1048,209 @@ TEST(WireServe, PrefixesAndMutationsDecodeWholeOrNotAtAll) {
       }
     }
   }
+}
+
+TEST(WireServe, TextPastTheCapIsRejected) {
+  const auto decodes = [](std::size_t length) {
+    Writer w;
+    w.varint(length);
+    for (std::size_t i = 0; i < length; ++i) w.u8('a');
+    Reader r(w.data());
+    serve::ClientHelloPayload out;
+    return serve::decode_payload(r, out);
+  };
+  EXPECT_TRUE(decodes(serve::kMaxText));
+  EXPECT_FALSE(decodes(serve::kMaxText + 1));
+}
+
+// The four uint32 fields of the serve payloads: a varint past 2^32 - 1 is
+// a decode error, not a value cut to its low 32 bits.
+
+TEST(WireServe, AcceptedQueuePositionPast32BitsIsRejected) {
+  const auto decodes = [](std::uint64_t position) {
+    Writer w;
+    w.varint(77);
+    w.varint(1234567);
+    w.varint(position);
+    Reader r(w.data());
+    serve::QueryAcceptedPayload out;
+    return serve::decode_payload(r, out);
+  };
+  EXPECT_TRUE(decodes(0xFFFFFFFFull));
+  EXPECT_FALSE(decodes(1ull << 32));
+}
+
+TEST(WireServe, StatusQueuePositionPast32BitsIsRejected) {
+  const auto decodes = [](std::uint64_t position) {
+    Writer w;
+    w.varint(9);
+    w.u8(static_cast<std::uint8_t>(serve::QueryState::kQueued));
+    w.varint(position);
+    Reader r(w.data());
+    serve::QueryStatusPayload out;
+    return serve::decode_payload(r, out);
+  };
+  EXPECT_TRUE(decodes(0xFFFFFFFFull));
+  EXPECT_FALSE(decodes(1ull << 32));
+}
+
+TEST(WireServe, RejectedRetryAfterPast32BitsIsRejected) {
+  const auto decodes = [](std::uint64_t retry_after_ms) {
+    Writer w;
+    w.varint(78);
+    w.u8(static_cast<std::uint8_t>(serve::RejectCode::kQueueFull));
+    w.varint(retry_after_ms);
+    w.varint(0);  // empty message
+    Reader r(w.data());
+    serve::QueryRejectedPayload out;
+    return serve::decode_payload(r, out);
+  };
+  EXPECT_TRUE(decodes(0xFFFFFFFFull));
+  EXPECT_FALSE(decodes(1ull << 32));
+}
+
+TEST(WireServe, ResultExpansionsPast32BitsIsRejected) {
+  const auto decodes = [](std::uint64_t expansions) {
+    Writer w;
+    w.varint(9);
+    w.varint(123456);
+    w.u64(0xfeedfacecafebeefull);
+    w.varint(8000);
+    w.varint(7000);
+    w.varint(expansions);
+    w.f64(0.125);
+    w.f64(1.5);
+    Reader r(w.data());
+    serve::QueryResultPayload out;
+    return serve::decode_payload(r, out);
+  };
+  EXPECT_TRUE(decodes(0xFFFFFFFFull));
+  EXPECT_FALSE(decodes(1ull << 32));
+}
+
+// --- socket runtime control frame bodies ---
+
+struct ControlSample {
+  const char* name;
+  std::vector<std::uint8_t> bytes;
+  /// decode_body() of `bytes` as this body's type, encoded again.
+  std::optional<std::vector<std::uint8_t>> (*reencode)(
+      const std::vector<std::uint8_t>&);
+};
+
+template <class T>
+std::optional<std::vector<std::uint8_t>> reencode_body(
+    const std::vector<std::uint8_t>& bytes) {
+  T decoded;
+  if (!wire::decode_body(bytes, decoded)) return std::nullopt;
+  return wire::encode_body(decoded);
+}
+
+template <class T>
+ControlSample control_sample(const char* name, const T& body) {
+  return {name, wire::encode_body(body), &reencode_body<T>};
+}
+
+std::vector<ControlSample> control_catalogue() {
+  return {
+      control_sample("Hello", wire::HelloBody{3, 40123, 1}),
+      control_sample("Peers",
+                     wire::PeersBody{{{1, 40001}, {2, 40002}, {4, 65535}}}),
+      control_sample("Spawn", wire::SpawnBody{17, 1, 2, 0, 5}),
+      control_sample("Announce", wire::AnnounceBody{17, 3}),
+      control_sample("NodeDead", wire::NodeDeadBody{4}),
+      control_sample("Retire", wire::RetireBody{17}),
+      control_sample("QueryConfig",
+                     wire::QueryConfigBody{7, sample_config_without_rows()}),
+  };
+}
+
+TEST(WireControlFrames, BodiesRoundTripAndArePinned) {
+  const BytePin pins[] = {
+      {0, 5, 0x0caf5cadu}, {1, 13, 0xafe556c2u}, {2, 5, 0xb671ccfdu},
+      {3, 2, 0x0f08f1eau}, {4, 1, 0xdcd967bfu},  {5, 1, 0x0762ae69u},
+      {6, 304, 0xd5dfd566u},
+  };
+  const std::vector<ControlSample> catalogue = control_catalogue();
+  ASSERT_EQ(catalogue.size(), std::size(pins));
+  for (std::size_t i = 0; i < catalogue.size(); ++i) {
+    const ControlSample& s = catalogue[i];
+    EXPECT_EQ(s.reencode(s.bytes), s.bytes) << s.name;
+    EXPECT_EQ(s.bytes.size(), pins[i].size) << s.name;
+    EXPECT_EQ(crc_of(s.bytes), pins[i].crc)
+        << s.name << ": {" << i << ", " << s.bytes.size() << ", 0x"
+        << std::hex << crc_of(s.bytes) << "u}";
+    for (std::size_t len = 0; len < s.bytes.size(); ++len) {
+      const std::vector<std::uint8_t> prefix(
+          s.bytes.begin(), s.bytes.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_FALSE(s.reencode(prefix).has_value()) << s.name << " " << len;
+    }
+  }
+}
+
+TEST(WireControlFrames, OutOfRangeIdsAndIndicesAreRejected) {
+  const auto body = [](auto&& write) {
+    Writer w;
+    write(w);
+    return w.take();
+  };
+  const std::int64_t past_int32 = std::int64_t{1} << 31;
+  wire::HelloBody hello;
+  EXPECT_FALSE(wire::decode_body(body([&](Writer& w) {
+                                   w.zigzag(past_int32);
+                                   w.varint(40000);
+                                   w.varint(1);
+                                 }),
+                                 hello));
+  EXPECT_FALSE(wire::decode_body(body([](Writer& w) {
+                                   w.zigzag(3);
+                                   w.varint(0x10000);  // past a TCP port
+                                   w.varint(1);
+                                 }),
+                                 hello));
+  wire::SpawnBody spawn;
+  const auto spawn_body = [&](std::int64_t id, std::uint8_t kind,
+                              std::uint64_t source_index,
+                              std::uint64_t config_id) {
+    return body([&](Writer& w) {
+      w.zigzag(id);
+      w.u8(kind);
+      w.varint(source_index);
+      w.zigzag(0);
+      w.varint(config_id);
+    });
+  };
+  EXPECT_TRUE(wire::decode_body(spawn_body(17, 1, 0xFFFFFFFFu, 5), spawn));
+  EXPECT_FALSE(wire::decode_body(spawn_body(17, 1, 1ull << 32, 5), spawn));
+  EXPECT_FALSE(wire::decode_body(spawn_body(17, 1, 2, 1ull << 32), spawn));
+  EXPECT_FALSE(wire::decode_body(spawn_body(-past_int32 - 1, 1, 2, 5), spawn));
+  EXPECT_FALSE(wire::decode_body(spawn_body(17, 2, 2, 5), spawn));
+  wire::AnnounceBody announce;
+  EXPECT_FALSE(wire::decode_body(body([&](Writer& w) {
+                                   w.zigzag(17);
+                                   w.zigzag(past_int32);
+                                 }),
+                                 announce));
+  wire::NodeDeadBody dead;
+  EXPECT_FALSE(wire::decode_body(
+      body([&](Writer& w) { w.zigzag(past_int32); }), dead));
+  wire::RetireBody retire;
+  EXPECT_FALSE(wire::decode_body(
+      body([&](Writer& w) { w.zigzag(past_int32); }), retire));
+  wire::PeersBody peers;
+  EXPECT_FALSE(wire::decode_body(body([&](Writer& w) {
+                                   w.varint(1);
+                                   w.zigzag(past_int32);
+                                   w.varint(40000);
+                                 }),
+                                 peers));
+  wire::QueryConfigBody query_config;
+  EXPECT_FALSE(wire::decode_body(body([](Writer& w) {
+                                   w.varint(1ull << 32);
+                                   wire::encode_config(
+                                       sample_config_without_rows(), w);
+                                 }),
+                                 query_config));
 }
 
 // --- frame layer ---

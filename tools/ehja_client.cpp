@@ -217,6 +217,12 @@ int main(int argc, char** argv) {
               "over %.2f s\n",
               stats.latency_percentile_ms(0.50),
               stats.latency_percentile_ms(0.99), stats.qps(), stats.wall_sec);
+  std::printf("server: queue p50 %.1f ms | p99 %.1f ms | run p50 %.1f ms | "
+              "p99 %.1f ms\n",
+              serve::ReplayStats::percentile_ms(stats.queue_ms, 0.50),
+              serve::ReplayStats::percentile_ms(stats.queue_ms, 0.99),
+              serve::ReplayStats::percentile_ms(stats.run_ms, 0.50),
+              serve::ReplayStats::percentile_ms(stats.run_ms, 0.99));
   if (verify) {
     std::printf("verify: %llu mismatches\n",
                 static_cast<unsigned long long>(stats.verify_failures));
